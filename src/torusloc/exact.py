@@ -426,14 +426,55 @@ class LinearForm:
         return str(self.as_polynomial())
 
 
+def _scale(coefficient, factor):
+    # factor * coefficient; the common factors +-1 avoid a Fraction product
+    if factor == 1:
+        return coefficient
+    if factor == -1:
+        return -coefficient
+    return factor * coefficient
+
+
+def _bump(exponents, index, step):
+    # exponents with exponents[index] raised by step
+    return exponents[:index] + (exponents[index] + step,) + exponents[index + 1 :]
+
+
+def _times_form(p, form):
+    # p * form: each nonzero coefficient c_j adds c_j * p shifted by one in u_j
+    result = {}
+    for j, fj in enumerate(form.coefficients):
+        if not fj:
+            continue
+        for exponents, coefficient in p.terms.items():
+            term = _scale(coefficient, fj)
+            target = _bump(exponents, j, 1)
+            previous = result.get(target)
+            result[target] = term if previous is None else previous + term
+    return Polynomial._raw(p.rank, result)
+
+
 def linear_divide(p, form):
     """Exact division of `p` by a primitive linear form.
 
     Returns q with q * form == p when the form divides p, and None
-    otherwise (a normal outcome, not an error).  Works by eliminating the
-    form's pivot variable: each step rewrites the graded-lex-greatest
-    monomial still containing the pivot, so the remainder is pivot-free and
-    divisibility holds exactly when that remainder is zero.
+    otherwise (a normal outcome, not an error).
+
+    Synthetic division in the form's pivot variable x (its first variable
+    with a nonzero coefficient a): write form = a*x + r, where r uses only
+    the variables after the pivot, and split p = sum_d p_d x^d and
+    q = sum_d q_d x^d into pivot-free slices.  Comparing x^d coefficients of
+    p = q * form gives the top-down recurrence
+
+        q_{d-1} = (p_d - r*q_d) / a    for d = D, D-1, ..., 1,
+
+    starting from q_D = 0 at the top pivot degree D of p, and the form
+    divides p exactly when the remainder p_0 - r*q_0 is zero.  Where a
+    carried slice p_d - r*q_d is zero, every q_e between it and the next
+    lower nonzero slice of p is zero, so the recurrence jumps there.  Each
+    term of q is produced once and multiplied once by each nonzero
+    coefficient of r, so the cost is O(terms(p) + terms(q) * nnz(form)); no
+    step rescans the remainder.
     """
     if not isinstance(p, Polynomial):
         raise TypeError(f"expected Polynomial, got {type(p).__name__}")
@@ -441,30 +482,45 @@ def linear_divide(p, form):
         raise RankMismatch(f"polynomial rank {p.rank} vs form rank {form.rank}")
     if not p:
         return p
-    pivot = next(i for i, c in enumerate(form.coefficients) if c)
-    lead = form.coefficients[pivot]
-    remainder = dict(p.terms)
+    coefficients = form.coefficients
+    pivot = next(i for i, c in enumerate(coefficients) if c)
+    lead = coefficients[pivot]
+    rest = [(j, c) for j, c in enumerate(coefficients) if c and j != pivot]
+    # slices[d]: the terms of p of pivot degree d, keys unchanged
+    slices = {}
+    for exponents, coefficient in p.terms.items():
+        slices.setdefault(exponents[pivot], {})[exponents] = coefficient
+    lower = iter(sorted(slices, reverse=True))
+    degree = next(lower)
+    carried = slices[degree]  # p_d - r*q_d at d = degree, where q_d = 0
     quotient = {}
-    while True:
-        candidates = [e for e in remainder if e[pivot] > 0]
-        if not candidates:
-            break
-        top = max(candidates, key=_grlex)
-        coefficient = remainder[top] / lead
-        q_exponents = tuple(e - 1 if i == pivot else e for i, e in enumerate(top))
-        quotient[q_exponents] = quotient.get(q_exponents, Fraction(0)) + coefficient
-        for j, fj in enumerate(form.coefficients):
-            if not fj:
-                continue
-            target = tuple(e + 1 if i == j else e for i, e in enumerate(q_exponents))
-            total = remainder.get(target, Fraction(0)) - coefficient * fj
-            if total == 0:
-                remainder.pop(target, None)
-            else:
-                remainder[target] = total
-    if remainder:
-        return None
-    return Polynomial._raw(p.rank, quotient)
+    while degree > 0:
+        degree -= 1
+        step = {}  # q_{degree}
+        for exponents, coefficient in carried.items():
+            step[_bump(exponents, pivot, -1)] = coefficient if lead == 1 else coefficient / lead
+        quotient.update(step)
+        carried = dict(slices.get(degree, ()))
+        for exponents, coefficient in step.items():
+            for j, fj in rest:
+                term = _scale(coefficient, -fj)
+                target = _bump(exponents, j, 1)
+                previous = carried.get(target)
+                if previous is None:
+                    carried[target] = term
+                    continue
+                total = previous + term
+                if total:
+                    carried[target] = total
+                else:
+                    del carried[target]
+        if not carried:
+            degree = next((d for d in lower if d < degree), None)
+            if degree is None:
+                return Polynomial._raw(p.rank, quotient)
+            carried = slices[degree]
+    # the remainder p_0 - r*q_0 is nonzero
+    return None
 
 
 class FactoredRational:
@@ -542,11 +598,10 @@ class FactoredRational:
         left = self.numerator
         right = other.numerator
         for form, multiplicity in lcm.items():
-            fp = form.as_polynomial()
             for _ in range(multiplicity - self.denominator.get(form, 0)):
-                left = left * fp
+                left = _times_form(left, form)
             for _ in range(multiplicity - other.denominator.get(form, 0)):
-                right = right * fp
+                right = _times_form(right, form)
         return FactoredRational(left + right, lcm)
 
     def __neg__(self):

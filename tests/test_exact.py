@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusloc import FactoredRational, LinearForm, NotPolynomialError, Polynomial, RankMismatch, linear_divide
+from torusloc.exact import _times_form
 
 from support import random_fraction
 
@@ -241,9 +242,9 @@ def poly_triples():
     )
 
 
-def linear_forms(rank):
+def linear_forms(rank, bound=3):
     return (
-        st.tuples(*[st.integers(-3, 3)] * rank)
+        st.tuples(*[st.integers(-bound, bound)] * rank)
         .filter(any)
         .map(lambda v: LinearForm.normalize(v)[0])
     )
@@ -266,11 +267,34 @@ def test_ring_axioms(triple):
     assert a * (b + c) == a * b + a * c
 
 
+def gapped_polynomials(rank):
+    # exponents from a sparse set, so quotients skip pivot degrees
+    return st.dictionaries(
+        st.tuples(*[st.sampled_from((0, 1, 3, 6))] * rank), coefficients, max_size=4
+    ).map(lambda terms: Polynomial(rank, terms))
+
+
+def quotients(rank):
+    return st.one_of(polynomials(rank), gapped_polynomials(rank))
+
+
+def pivot_free_polynomials(form):
+    pivot = next(i for i, c in enumerate(form.coefficients) if c)
+    return polynomials(form.rank).map(
+        lambda p: Polynomial(
+            p.rank, {e[:pivot] + (0,) + e[pivot + 1 :]: c for e, c in p.terms.items()}
+        )
+    )
+
+
 @given(
-    st.integers(2, 3).flatmap(
-        lambda rank: st.tuples(polynomials(rank), linear_forms(rank), st.integers(-4, 4))
+    st.integers(1, 4).flatmap(
+        lambda rank: st.tuples(quotients(rank), linear_forms(rank, 5), st.integers(-4, 4))
     )
 )
+@example((Polynomial(1, {(9,): 2, (0,): 1}), U, 1))
+@example((Polynomial(3, {(6, 1, 0): 1, (1, 0, 3): -2, (0, 0, 0): 5}), LinearForm((0, 3, -2)), 1))
+@example((Polynomial(2, {(6, 0): 1, (0, 6): 1}), LinearForm((5, -3)), -2))
 def test_linear_divide_round_trip(data):
     quotient, form, scalar = data
     p = quotient * form.as_polynomial() * scalar
@@ -278,6 +302,27 @@ def test_linear_divide_round_trip(data):
     assert recovered is not None
     assert recovered * form.as_polynomial() == p
     assert recovered == quotient * scalar
+
+
+@given(
+    st.integers(1, 4)
+    .flatmap(lambda rank: st.tuples(quotients(rank), linear_forms(rank, 5)))
+    .flatmap(
+        lambda pair: st.tuples(st.just(pair[0]), st.just(pair[1]), pivot_free_polynomials(pair[1]))
+    )
+    .filter(lambda data: data[2])
+)
+@example((u ** 4, U, Polynomial.constant(1, 3)))
+def test_linear_divide_rejects_pivot_free_remainder(data):
+    # q*L + r with r nonzero and free of L's pivot variable is never divisible by L
+    quotient, form, remainder = data
+    assert linear_divide(quotient * form.as_polynomial() + remainder, form) is None
+
+
+@given(st.integers(1, 4).flatmap(lambda rank: st.tuples(quotients(rank), linear_forms(rank, 5))))
+def test_times_form_matches_product(data):
+    p, form = data
+    assert _times_form(p, form) == p * form.as_polynomial()
 
 
 @given(st.integers(1, 2).flatmap(lambda rank: st.tuples(fractions_(rank), fractions_(rank))))

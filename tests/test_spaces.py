@@ -64,6 +64,13 @@ def test_chern_numbers_match_binomial_oracle():
             )
 
 
+def test_cp5_full_rank_chern_numbers():
+    # rank 6, 6 points: c1^5 drives the largest cancelling numerators
+    cp5 = projective_space(5)
+    assert integrate_top(cp5, "c1^5") == chern_number_oracle(5, (5, 0, 0, 0, 0)) == 7776
+    assert integrate_top(cp5, "c5") == chern_number_oracle(5, (0, 0, 0, 0, 1)) == 6
+
+
 def test_reduction_direction_is_generic():
     for n in (1, 2, 3):
         problem = projective_space(n)
