@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-from .exact import LinearForm, Polynomial
+from .exact import LinearForm, Polynomial, _times_form
 
 
 class ValidationError(Exception):
@@ -171,7 +171,7 @@ def equivariant_euler(point, rank=None):
     for weight in point.weights:
         if weight.is_zero:
             raise ValueError(f"zero weight at point {point.label!r}")
-        result = result * weight.as_polynomial()
+        result = _times_form(result, weight.components)
     return result
 
 

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 
 from .action import equivariant_euler
-from .exact import Polynomial
+from .exact import Polynomial, _add_times, _check_vector
 
 
 @dataclass(frozen=True)
@@ -283,13 +283,13 @@ def degree(node, half_dim):
 
 def _elementary_symmetric(weights, rank):
     """e_0, ..., e_n of the weights as degree-2 classes."""
-    table = [Polynomial.constant(rank, 1)]
+    table = [{(0,) * rank: 1}]  # term dicts, updated in place
     for weight in weights:
-        w = weight.as_polynomial()
-        table.append(Polynomial.zero(rank))
+        _check_vector(weight.components, rank)
+        table.append({})
         for j in range(len(table) - 1, 0, -1):
-            table[j] = table[j] + table[j - 1] * w
-    return table
+            _add_times(table[j], table[j - 1], weight.components)
+    return [Polynomial._raw(rank, terms) for terms in table]
 
 
 def restrict(node, point, rank=None):

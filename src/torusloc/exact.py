@@ -1,8 +1,10 @@
 """Exact arithmetic for multivariate polynomials and factored rational functions.
 
-Polynomials live in Q[u1, ..., ul] where l is the rank of the acting torus;
-every coefficient is a `fractions.Fraction`, so all arithmetic is exact and
-equality is decidable.  Rational functions are kept with their denominators
+Polynomials live in Q[u1, ..., ul] where l is the rank of the acting torus.
+A coefficient is stored as an `int` when it is integral and as a
+`fractions.Fraction` with denominator > 1 otherwise, so all arithmetic is
+exact, equality is decidable, and the common all-integer case never pays
+for rational arithmetic.  Rational functions are kept with their denominators
 factored into primitive integer linear forms (the only denominators that
 arise from fixed-point data), which reduces simplification to repeated exact
 division by linear forms -- no general multivariate GCD is ever needed.
@@ -40,6 +42,27 @@ class NotPolynomialError(Exception):
         super().__init__(message)
 
 
+def _canonical(terms):
+    # drop zero coefficients and turn integral Fractions into ints, in place
+    zeros = []
+    for exponents, coefficient in terms.items():
+        if type(coefficient) is not int and coefficient.denominator == 1:
+            coefficient = terms[exponents] = coefficient.numerator
+        if not coefficient:
+            zeros.append(exponents)
+    for exponents in zeros:
+        del terms[exponents]
+    return terms
+
+
+def _divide(a, b):
+    # the exact quotient a / b of a coefficient by a nonzero int; an int
+    # when b divides an int a, else a Fraction for Polynomial._raw to settle
+    if type(a) is int and not a % b:
+        return a // b
+    return Fraction(a, b)
+
+
 def _grlex(exponents):
     # graded lexicographic sort key, u1 > u2 > ... > ul
     return (sum(exponents), exponents)
@@ -53,9 +76,10 @@ def _check_same_rank(a, b):
 class Polynomial:
     """Multivariate polynomial over Q in normalized form (no zero terms stored).
 
-    `terms` maps exponent tuples of length `rank` to nonzero Fractions; the
-    zero polynomial is the empty map.  Instances are immutable by convention:
-    no method mutates `terms`.
+    `terms` maps exponent tuples of length `rank` to nonzero coefficients,
+    each an `int` when integral and otherwise a `Fraction` with denominator
+    > 1 (never a float or a bool); the zero polynomial is the empty map.
+    Instances are immutable by convention: no method mutates `terms`.
     """
 
     __slots__ = ("rank", "terms")
@@ -73,23 +97,22 @@ class Polynomial:
                 )
             if any(e < 0 for e in exponents):
                 raise ValueError(f"negative exponent in {exponents}")
-            coefficient = Fraction(coefficient)
-            if coefficient != 0:
-                clean[exponents] = clean.get(exponents, Fraction(0)) + coefficient
-                if clean[exponents] == 0:
-                    del clean[exponents]
+            if type(coefficient) is not int:
+                coefficient = Fraction(coefficient)
+            clean[exponents] = clean.get(exponents, 0) + coefficient
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _canonical(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def _raw(cls, rank, terms):
-        # internal fast path: terms already normalized except possible zeros
+        # internal fast path: `terms` is a fresh dict of valid exponents that
+        # the new polynomial takes over; it is canonicalized in place
         self = object.__new__(cls)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c != 0})
+        object.__setattr__(self, "terms", _canonical(terms))
         return self
 
     @classmethod
@@ -98,7 +121,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, rank, value):
-        return cls(rank, {(0,) * rank: Fraction(value)})
+        return cls(rank, {(0,) * rank: value})
 
     @classmethod
     def variable(cls, rank, index):
@@ -130,11 +153,7 @@ class Polynomial:
         _check_same_rank(self, other)
         result = dict(self.terms)
         for exponents, coefficient in other.terms.items():
-            total = result.get(exponents, Fraction(0)) + coefficient
-            if total == 0:
-                result.pop(exponents, None)
-            else:
-                result[exponents] = total
+            result[exponents] = result.get(exponents, 0) + coefficient
         return Polynomial._raw(self.rank, result)
 
     __radd__ = __add__
@@ -163,7 +182,7 @@ class Polynomial:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 exponents = tuple(x + y for x, y in zip(ea, eb))
-                result[exponents] = result.get(exponents, Fraction(0)) + ca * cb
+                result[exponents] = result.get(exponents, 0) + ca * cb
         return Polynomial._raw(self.rank, result)
 
     __rmul__ = __mul__
@@ -203,7 +222,8 @@ class Polynomial:
         return 2 * self.degree()
 
     def constant_coefficient(self):
-        return self.terms.get((0,) * self.rank, Fraction(0))
+        """The coefficient of 1, always as a Fraction."""
+        return Fraction(self.terms.get((0,) * self.rank, 0))
 
     def substitute(self, direction):
         """Specialize u_i -> direction[i] * u, giving a rank-1 polynomial.
@@ -220,15 +240,9 @@ class Polynomial:
         for exponents, coefficient in self.terms.items():
             scale = coefficient
             for e, x in zip(exponents, direction):
-                scale *= Fraction(x) ** e
-            if scale == 0:
-                continue
+                scale *= x ** e
             key = (sum(exponents),)
-            total = result.get(key, Fraction(0)) + scale
-            if total == 0:
-                result.pop(key, None)
-            else:
-                result[key] = total
+            result[key] = result.get(key, 0) + scale
         return Polynomial._raw(1, result)
 
     def sorted_terms(self):
@@ -427,7 +441,7 @@ class LinearForm:
 
 
 def _scale(coefficient, factor):
-    # factor * coefficient; the common factors +-1 avoid a Fraction product
+    # factor * coefficient; the common factors +-1 skip the product
     if factor == 1:
         return coefficient
     if factor == -1:
@@ -440,18 +454,30 @@ def _bump(exponents, index, step):
     return exponents[:index] + (exponents[index] + step,) + exponents[index + 1 :]
 
 
-def _times_form(p, form):
-    # p * form: each nonzero coefficient c_j adds c_j * p shifted by one in u_j
-    result = {}
-    for j, fj in enumerate(form.coefficients):
+def _add_times(result, terms, vector):
+    # result += terms * (a1*u1 + ... + al*ul) on term dicts, in place, for an
+    # integer vector a: each nonzero a_j adds a_j * terms shifted by one in
+    # u_j.  Zero sums stay in `result` until Polynomial._raw drops them.
+    for j, fj in enumerate(vector):
         if not fj:
             continue
-        for exponents, coefficient in p.terms.items():
+        for exponents, coefficient in terms.items():
             term = _scale(coefficient, fj)
             target = _bump(exponents, j, 1)
             previous = result.get(target)
             result[target] = term if previous is None else previous + term
-    return Polynomial._raw(p.rank, result)
+    return result
+
+
+def _check_vector(vector, rank):
+    if len(vector) != rank:
+        raise RankMismatch(f"vector of length {len(vector)} vs rank {rank}")
+
+
+def _times_form(p, vector):
+    # p * (a1*u1 + ... + al*ul) for an integer vector a of length p.rank
+    _check_vector(vector, p.rank)
+    return Polynomial._raw(p.rank, _add_times({}, p.terms, vector))
 
 
 def linear_divide(p, form):
@@ -498,7 +524,9 @@ def linear_divide(p, form):
         degree -= 1
         step = {}  # q_{degree}
         for exponents, coefficient in carried.items():
-            step[_bump(exponents, pivot, -1)] = coefficient if lead == 1 else coefficient / lead
+            step[_bump(exponents, pivot, -1)] = (
+                coefficient if lead == 1 else _divide(coefficient, lead)
+            )
         quotient.update(step)
         carried = dict(slices.get(degree, ()))
         for exponents, coefficient in step.items():
@@ -599,9 +627,9 @@ class FactoredRational:
         right = other.numerator
         for form, multiplicity in lcm.items():
             for _ in range(multiplicity - self.denominator.get(form, 0)):
-                left = _times_form(left, form)
+                left = _times_form(left, form.coefficients)
             for _ in range(multiplicity - other.denominator.get(form, 0)):
-                right = _times_form(right, form)
+                right = _times_form(right, form.coefficients)
         return FactoredRational(left + right, lcm)
 
     def __neg__(self):
@@ -629,7 +657,7 @@ class FactoredRational:
         resulting rank-1 fraction has denominator a power of u.
         """
         numerator = self.numerator.substitute(direction)
-        scale = Fraction(1)
+        scale = 1
         total = 0
         for form, multiplicity in self.denominator.items():
             value = form.pair(direction)
@@ -637,10 +665,10 @@ class FactoredRational:
                 raise ZeroDivisionError(
                     f"direction {tuple(direction)} annihilates denominator form {form}"
                 )
-            scale *= Fraction(value) ** multiplicity
+            scale *= value ** multiplicity
             total += multiplicity
         den = {LinearForm((1,)): total} if total else {}
-        return FactoredRational(numerator * (1 / scale), den)
+        return FactoredRational(numerator * Fraction(1, scale), den)
 
     def sorted_denominator(self):
         return sorted(self.denominator.items(), key=lambda kv: kv[0].coefficients)

@@ -322,7 +322,7 @@ def test_linear_divide_rejects_pivot_free_remainder(data):
 @given(st.integers(1, 4).flatmap(lambda rank: st.tuples(quotients(rank), linear_forms(rank, 5))))
 def test_times_form_matches_product(data):
     p, form = data
-    assert _times_form(p, form) == p * form.as_polynomial()
+    assert _times_form(p, form.coefficients) == p * form.as_polynomial()
 
 
 @given(st.integers(1, 2).flatmap(lambda rank: st.tuples(fractions_(rank), fractions_(rank))))
@@ -361,6 +361,106 @@ def test_substitute_is_ring_homomorphism(data):
 @given(st.integers(1, 3).flatmap(polynomials))
 def test_render_parse_round_trip(p):
     assert Polynomial.parse(str(p), p.rank) == p
+
+
+# ---------------------------------------------------------------------------
+# canonical coefficients: an int when integral, else a Fraction with
+# denominator > 1
+
+def assert_canonical(p):
+    for coefficient in p.terms.values():
+        assert coefficient != 0
+        assert type(coefficient) is int or (
+            type(coefficient) is Fraction and coefficient.denominator > 1
+        ), repr(coefficient)
+
+
+rationals = st.one_of(coefficients, st.fractions(-9, 9, max_denominator=6))
+
+
+def rational_polynomials(rank):
+    return st.dictionaries(exponent_vectors(rank), rationals, max_size=4).map(
+        lambda terms: Polynomial(rank, terms)
+    )
+
+
+def rational_fractions(rank):
+    return st.tuples(
+        rational_polynomials(rank),
+        st.dictionaries(linear_forms(rank, 5), st.integers(1, 2), max_size=2),
+    ).map(lambda pair: FactoredRational(*pair))
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda rank: st.tuples(
+            st.one_of(polynomials(rank), rational_polynomials(rank)),
+            rational_polynomials(rank),
+            linear_forms(rank, 5),
+            st.tuples(*[st.integers(-5, 5)] * rank),
+            st.integers(0, 3),
+            st.one_of(fractions_(rank), rational_fractions(rank)),
+            rational_fractions(rank),
+        )
+    )
+)
+@example(
+    (
+        Polynomial(2, {(1, 0): Fraction(3, 2), (0, 1): Fraction(1, 2)}),
+        Polynomial(2, {(1, 0): Fraction(-3, 2)}),
+        LinearForm((3, -2)),
+        (2, 3),
+        2,
+        FactoredRational(Polynomial(2, {(0, 0): Fraction(1, 2)}), {LinearForm((3, -2)): 1}),
+        FactoredRational(Polynomial(2, {(0, 0): Fraction(5, 2)}), {LinearForm((3, -2)): 1}),
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_arithmetic_keeps_coefficients_canonical(data):
+    p, q, form, vector, power, a, b = data
+    results = [
+        p + q,
+        p - q,
+        p * q,
+        -p,
+        p ** power,
+        p.substitute(vector),
+        _times_form(p, vector),
+        _times_form(p, form.coefficients),
+        linear_divide(p * form.as_polynomial(), form),
+        (a + b).numerator,
+    ]
+    divided = linear_divide(p, form)
+    if divided is not None:
+        results.append(divided)
+    if all(f.pair(vector) for f in a.denominator):
+        results.append(a.substitute(vector).numerator)
+    for result in results:
+        assert_canonical(result)
+
+
+def test_integral_fraction_stored_as_int():
+    p = Polynomial(2, {(1, 0): Fraction(4, 2)})
+    assert type(p.terms[(1, 0)]) is int and p.terms[(1, 0)] == 2
+    assert p == Polynomial(2, {(1, 0): 2}) == 2 * u1
+    assert hash(p) == hash(2 * u1)
+
+
+def test_no_float_or_bool_coefficients():
+    p = Polynomial(1, {(0,): True, (1,): 0.5})
+    assert type(p.terms[(0,)]) is int
+    assert p.terms[(1,)] == Fraction(1, 2) and type(p.terms[(1,)]) is Fraction
+
+
+def test_halves_sum_to_an_int():
+    half = Fraction(1, 2) * u
+    assert type((half + half).terms[(1,)]) is int
+
+
+def test_constant_coefficient_is_a_fraction():
+    assert type(Polynomial.zero(3).constant_coefficient()) is Fraction
+    assert Polynomial.zero(3).constant_coefficient() == 0
+    assert type(Polynomial.constant(2, 5).constant_coefficient()) is Fraction
 
 
 def test_frac_add_randomized_batch():

@@ -23,6 +23,7 @@ from torusloc import (
     localize,
     parse,
 )
+from torusloc.localize import point_term
 from torusloc.spaces import projective_space, product, sphere_rotation
 
 from support import random_homogeneous_expr
@@ -187,3 +188,14 @@ def test_integral_values_are_exact_fractions():
     value = integrate_top(projective_space(2), "c1^2")
     assert isinstance(value, Fraction)
     assert value.denominator == 1
+
+
+def test_point_term_scalar_six_gives_fraction_coefficients():
+    # after xi = (0, 2, 3) the first point of CP^2 has weights 2 and 3, so
+    # c1^2 / e restricts to (5u)^2 / (6u^2) = 25/6
+    point = circle_reduce(projective_space(2), (0, 2, 3)).points[0]
+    assert [w.components for w in point.weights] == [(2,), (3,)]
+    term = point_term(point, parse("c1^2"), 1)
+    assert term.is_polynomial
+    assert term.numerator.terms == {(0,): Fraction(25, 6)}
+    assert type(term.numerator.terms[(0,)]) is Fraction
