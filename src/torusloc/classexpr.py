@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 
 from .action import equivariant_euler
-from .exact import Polynomial, _add_times, _check_vector
+from .exact import Polynomial, _elementary_symmetric
 
 
 @dataclass(frozen=True)
@@ -281,17 +281,6 @@ def degree(node, half_dim):
     raise TypeError(f"not a class expression node: {node!r}")
 
 
-def _elementary_symmetric(weights, rank):
-    """e_0, ..., e_n of the weights as degree-2 classes."""
-    table = [{(0,) * rank: 1}]  # term dicts, updated in place
-    for weight in weights:
-        _check_vector(weight.components, rank)
-        table.append({})
-        for j in range(len(table) - 1, 0, -1):
-            _add_times(table[j], table[j - 1], weight.components)
-    return [Polynomial._raw(rank, terms) for terms in table]
-
-
 def restrict(node, point, rank=None):
     """Evaluate an expression at a fixed point, into the coefficient ring.
 
@@ -304,7 +293,10 @@ def restrict(node, point, rank=None):
         if not point.weights:
             raise ValueError("rank is required for a point with no weights")
         rank = point.weights[0].rank
-    symmetric = _elementary_symmetric(point.weights, rank)
+    for weight in point.weights:
+        if weight.is_zero:
+            raise ValueError(f"zero weight at point {point.label!r}")
+    symmetric = _elementary_symmetric([w.components for w in point.weights], rank)
 
     def evaluate(n):
         if isinstance(n, IntegerLiteral):

@@ -55,14 +55,6 @@ def _canonical(terms):
     return terms
 
 
-def _divide(a, b):
-    # the exact quotient a / b of a coefficient by a nonzero int; an int
-    # when b divides an int a, else a Fraction for Polynomial._raw to settle
-    if type(a) is int and not a % b:
-        return a // b
-    return Fraction(a, b)
-
-
 def _grlex(exponents):
     # graded lexicographic sort key, u1 > u2 > ... > ul
     return (sum(exponents), exponents)
@@ -480,6 +472,18 @@ def _times_form(p, vector):
     return Polynomial._raw(p.rank, _add_times({}, p.terms, vector))
 
 
+def _elementary_symmetric(vectors, rank):
+    # [e_0, ..., e_n] of the linear forms a.u for the integer vectors a, by
+    # the recurrence e_j += e_{j-1} * (a.u), run on term dicts in place
+    table = [{(0,) * rank: 1}]
+    for vector in vectors:
+        _check_vector(vector, rank)
+        table.append({})
+        for j in range(len(table) - 1, 0, -1):
+            _add_times(table[j], table[j - 1], vector)
+    return [Polynomial._raw(rank, terms) for terms in table]
+
+
 def linear_divide(p, form):
     """Exact division of `p` by a primitive linear form.
 
@@ -525,7 +529,7 @@ def linear_divide(p, form):
         step = {}  # q_{degree}
         for exponents, coefficient in carried.items():
             step[_bump(exponents, pivot, -1)] = (
-                coefficient if lead == 1 else _divide(coefficient, lead)
+                coefficient if lead == 1 else Fraction(coefficient, lead)
             )
         quotient.update(step)
         carried = dict(slices.get(degree, ()))

@@ -59,9 +59,7 @@ def point_term(point, expr, rank):
         form, s = weight.primitive()
         scalar *= s
         denominator[form] = denominator.get(form, 0) + 1
-    numerator = restrict(expr, point, rank)
-    if scalar != 1:
-        numerator = numerator * Fraction(1, scalar)
+    numerator = restrict(expr, point, rank) * Fraction(1, scalar)
     return FactoredRational(numerator, denominator)
 
 

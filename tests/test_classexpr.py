@@ -199,6 +199,13 @@ def test_restrict_chern_above_rank_vanishes():
         degree(parse("c4 + c1"), 3)
 
 
+def test_restrict_rejects_zero_weight():
+    point = FixedPoint("z", (Weight((1, 0)), Weight((0, 0))), 1)
+    for text in ("c1", "e", "1"):
+        with pytest.raises(ValueError, match="zero weight at point 'z'"):
+            restrict(parse(text), point)
+
+
 def test_restrict_is_ring_homomorphism():
     rng = random.Random(31)
     for _ in range(100):
