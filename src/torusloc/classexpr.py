@@ -92,9 +92,20 @@ class InhomogeneousExpression(Exception):
 
 _ATOM_START = "terms must start with 'c<k>', 'e', an unsigned integer, or '('"
 
+# Deepest expression `parse` accepts.  Each operator application and each
+# pair of parentheses is one level, so `degree`, `restrict` and `render`,
+# which recurse once per level, stay well inside Python's recursion limit.
+MAX_DEPTH = 600
+
 
 class _Parser:
-    """Single-error recursive-descent parser; reentrant, no global state."""
+    """Single-error parser; reentrant, no global state.
+
+    Recursive descent in spirit, but the enclosing parenthesized groups are
+    kept on an explicit stack, so nesting costs no Python recursion.  Every
+    node is carried with its depth, and a node or group deeper than
+    MAX_DEPTH is a ParseError.
+    """
 
     def __init__(self, text):
         self.text = text
@@ -125,8 +136,19 @@ class _Parser:
             self.fail(f"unexpected {self.found()}", expected)
         return int(self.text[start:self.pos])
 
-    def atom(self):
-        self.skip_ws()
+    def checked(self, depth):
+        if depth > MAX_DEPTH:
+            self.fail(
+                f"expression nests deeper than {MAX_DEPTH} levels",
+                f"at most {MAX_DEPTH} levels of operators and parentheses",
+            )
+        return depth
+
+    def join(self, kind, left, right):
+        return kind(left[0], right[0]), self.checked(1 + max(left[1], right[1]))
+
+    def leaf(self):
+        # an atom other than a parenthesized group
         c = self.peek()
         if c == "c":
             self.pos += 1
@@ -139,61 +161,65 @@ class _Parser:
             index = self.uint()
             if index < 1:
                 self.fail("Chern class index must be >= 1", "positive integer", offset=start)
-            return ChernClass(index)
+            return ChernClass(index), 1
         if c == "e":
             self.pos += 1
-            return EulerClass()
+            return EulerClass(), 1
         if c.isdigit():
-            return IntegerLiteral(self.uint())
-        if c == "(":
-            self.pos += 1
-            inner = self.expr()
-            self.skip_ws()
-            if self.peek() != ")":
-                self.fail(f"unexpected {self.found()}", "')'")
-            self.pos += 1
-            return inner
+            return IntegerLiteral(self.uint()), 1
         self.fail(f"unexpected {self.found()}", _ATOM_START)
 
-    def factor(self):
-        base = self.atom()
-        self.skip_ws()
-        if self.peek() == "^":
-            self.pos += 1
-            exponent = self.uint()
-            return Power(base, exponent)
-        return base
-
-    def term(self):
-        node = self.factor()
-        while True:
-            self.skip_ws()
-            c = self.peek()
-            if c == "*":
-                self.pos += 1
-                node = Product(node, self.factor())
-            elif c == "c" or c == "e" or c == "(" or c.isdigit():
-                node = Product(node, self.factor())
-            else:
-                return node
-
     def expr(self):
-        node = self.term()
+        """expr := term (('+' | '-') term)*, with the grammar's atoms and
+        factors inlined; returns at the first character that cannot continue
+        the outermost expression."""
+        groups = []  # (total, operator, product) of each enclosing group
+        total = operator_ = product = None  # total, product: (node, depth)
         while True:
+            # a factor starts here
             self.skip_ws()
-            c = self.peek()
-            if c == "+":
+            if self.peek() == "(":
+                self.checked(len(groups) + 2)  # this group and its content
                 self.pos += 1
-                node = Sum(node, self.term())
-            elif c == "-":
+                groups.append((total, operator_, product))
+                total = operator_ = product = None
+                continue
+            factor = self.leaf()
+            while True:
+                # a factor ends here: an optional exponent, then whatever
+                # continues the product, the sum or the enclosing group
+                self.skip_ws()
+                if self.peek() == "^":
+                    self.pos += 1
+                    factor = Power(factor[0], self.uint()), self.checked(factor[1] + 1)
+                product = factor if product is None else self.join(Product, product, factor)
+                self.skip_ws()
+                c = self.peek()
+                if c == "*":
+                    self.pos += 1
+                    break
+                if c == "c" or c == "e" or c == "(" or c.isdigit():
+                    break
+                total = product if operator_ is None else self.join(operator_, total, product)
+                product = None
+                if c == "+" or c == "-":
+                    self.pos += 1
+                    operator_ = Sum if c == "+" else Difference
+                    break
+                if not groups:
+                    return total[0]
+                if c != ")":
+                    self.fail(f"unexpected {self.found()}", "')'")
+                factor = total[0], self.checked(total[1] + 1)
                 self.pos += 1
-                node = Difference(node, self.term())
-            else:
-                return node
+                total, operator_, product = groups.pop()
 
 
 def parse(text):
-    """Parse a class expression, raising ParseError at the first failure."""
+    """Parse a class expression, raising ParseError at the first failure.
+
+    Expressions deeper than MAX_DEPTH levels are refused with ParseError.
+    """
     parser = _Parser(text)
     node = parser.expr()
     parser.skip_ws()

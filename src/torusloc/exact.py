@@ -9,6 +9,15 @@ factored into primitive integer linear forms (the only denominators that
 arise from fixed-point data), which reduces simplification to repeated exact
 division by linear forms -- no general multivariate GCD is ever needed.
 
+Monomials are keyed by one packed int (the packed exponent vectors of
+Monagan and Pearce): the exponent of u_i sits in its own 32-bit field, u1 in
+the most significant one, so key order is lexicographic order, the product
+of two monomials is the sum of their keys and multiplying by u_i adds a
+constant.  The top bit of each field is a guard: exponents are at most
+2**31 - 1, and an operation whose result crosses a guard raises ValueError
+instead of carrying into the next variable.  The packed keys never leave
+this module; `Polynomial.terms` decodes them to exponent tuples.
+
 Conventions: monomial u1^e1 * ... * ul^el has cohomological degree
 2*(e1 + ... + el), and the canonical term order is graded lexicographic with
 u1 > u2 > ... > ul.
@@ -20,7 +29,12 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+
+_FIELD = 32  # bits per exponent field of a packed key
+_FIELD_MASK = (1 << _FIELD) - 1
+MAX_EXPONENT = (1 << (_FIELD - 1)) - 1  # the field's top bit is the guard
 
 
 class RankMismatch(ValueError):
@@ -42,16 +56,48 @@ class NotPolynomialError(Exception):
         super().__init__(message)
 
 
-def _canonical(terms):
-    # drop zero coefficients and turn integral Fractions into ints, in place
+def _shift(rank, index):
+    # bit offset of the field of u_{index+1}; 1 << _shift(...) is its key
+    return _FIELD * (rank - 1 - index)
+
+
+def _shifts(rank):
+    # bit offset of each variable's field, u1 first
+    return range(_shift(rank, 0), -1, -_FIELD)
+
+
+@lru_cache(maxsize=None)
+def _invalid_bits(rank):
+    # every bit that a valid key of this rank leaves clear: the guard bit of
+    # each field and everything above the u1 field
+    return ~sum(MAX_EXPONENT << shift for shift in _shifts(rank))
+
+
+def _encode(exponents):
+    key = 0
+    for e in exponents:
+        key = (key << _FIELD) | e
+    return key
+
+
+def _decode(key, rank):
+    return tuple((key >> shift) & _FIELD_MASK for shift in _shifts(rank))
+
+
+def _canonical(terms, rank):
+    # drop zero coefficients and turn integral Fractions into ints, in place;
+    # a surviving key past a guard bit is an exponent overflow
+    invalid = _invalid_bits(rank)
     zeros = []
-    for exponents, coefficient in terms.items():
+    for key, coefficient in terms.items():
         if type(coefficient) is not int and coefficient.denominator == 1:
-            coefficient = terms[exponents] = coefficient.numerator
+            coefficient = terms[key] = coefficient.numerator
         if not coefficient:
-            zeros.append(exponents)
-    for exponents in zeros:
-        del terms[exponents]
+            zeros.append(key)
+        elif key & invalid:
+            raise ValueError(f"exponent overflow: an exponent exceeds {MAX_EXPONENT}")
+    for key in zeros:
+        del terms[key]
     return terms
 
 
@@ -68,13 +114,15 @@ def _check_same_rank(a, b):
 class Polynomial:
     """Multivariate polynomial over Q in normalized form (no zero terms stored).
 
-    `terms` maps exponent tuples of length `rank` to nonzero coefficients,
-    each an `int` when integral and otherwise a `Fraction` with denominator
-    > 1 (never a float or a bool); the zero polynomial is the empty map.
-    Instances are immutable by convention: no method mutates `terms`.
+    Each term is stored under its packed monomial key (see the module
+    docstring), so every exponent is at most MAX_EXPONENT = 2**31 - 1.
+    `terms` is a decoded view: a fresh dict mapping exponent tuples of length
+    `rank` to nonzero coefficients, each an `int` when integral and otherwise
+    a `Fraction` with denominator > 1 (never a float or a bool); the zero
+    polynomial is the empty map.  Instances are immutable.
     """
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank", "_terms")
 
     def __init__(self, rank, terms=None):
         rank = operator.index(rank)
@@ -89,22 +137,25 @@ class Polynomial:
                 )
             if any(e < 0 for e in exponents):
                 raise ValueError(f"negative exponent in {exponents}")
+            if any(e > MAX_EXPONENT for e in exponents):
+                raise ValueError(f"exponent above {MAX_EXPONENT} in {exponents}")
             if type(coefficient) is not int:
                 coefficient = Fraction(coefficient)
-            clean[exponents] = clean.get(exponents, 0) + coefficient
+            key = _encode(exponents)
+            clean[key] = clean.get(key, 0) + coefficient
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", _canonical(clean))
+        object.__setattr__(self, "_terms", _canonical(clean, rank))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def _raw(cls, rank, terms):
-        # internal fast path: `terms` is a fresh dict of valid exponents that
+        # internal fast path: `terms` is a fresh dict keyed by packed keys that
         # the new polynomial takes over; it is canonicalized in place
         self = object.__new__(cls)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", _canonical(terms))
+        object.__setattr__(self, "_terms", _canonical(terms, rank))
         return self
 
     @classmethod
@@ -124,34 +175,40 @@ class Polynomial:
         return cls(rank, {exponents: 1})
 
     @property
+    def terms(self):
+        """{exponent tuple: coefficient}, decoded afresh on every access."""
+        rank = self.rank
+        return {_decode(key, rank): c for key, c in self._terms.items()}
+
+    @property
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
+        return self.rank == other.rank and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
+        return hash((self.rank, frozenset(self._terms.items())))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         _check_same_rank(self, other)
-        result = dict(self.terms)
-        for exponents, coefficient in other.terms.items():
-            result[exponents] = result.get(exponents, 0) + coefficient
+        result = dict(self._terms)
+        for key, coefficient in other._terms.items():
+            result[key] = result.get(key, 0) + coefficient
         return Polynomial._raw(self.rank, result)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(self.rank, {e: -c for e, c in self.terms.items()})
+        return Polynomial._raw(self.rank, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -171,10 +228,10 @@ class Polynomial:
             return NotImplemented
         _check_same_rank(self, other)
         result = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exponents = tuple(x + y for x, y in zip(ea, eb))
-                result[exponents] = result.get(exponents, 0) + ca * cb
+        for ka, ca in self._terms.items():
+            for kb, cb in other._terms.items():
+                key = ka + kb
+                result[key] = result.get(key, 0) + ca * cb
         return Polynomial._raw(self.rank, result)
 
     __rmul__ = __mul__
@@ -197,17 +254,17 @@ class Polynomial:
 
     def degree(self):
         """Total polynomial degree, or None for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return None
-        return max(sum(e) for e in self.terms)
+        return max(sum(_decode(key, self.rank)) for key in self._terms)
 
     def is_homogeneous(self):
-        degrees = {sum(e) for e in self.terms}
+        degrees = {sum(_decode(key, self.rank)) for key in self._terms}
         return len(degrees) <= 1
 
     def cohomological_degree(self):
         """2 * total degree for a homogeneous polynomial; None if zero."""
-        if not self.terms:
+        if not self._terms:
             return None
         if not self.is_homogeneous():
             raise ValueError(f"not homogeneous: {self}")
@@ -215,7 +272,7 @@ class Polynomial:
 
     def constant_coefficient(self):
         """The coefficient of 1, always as a Fraction."""
-        return Fraction(self.terms.get((0,) * self.rank, 0))
+        return Fraction(self._terms.get(0, 0))
 
     def substitute(self, direction):
         """Specialize u_i -> direction[i] * u, giving a rank-1 polynomial.
@@ -229,20 +286,21 @@ class Polynomial:
                 f"direction has length {len(direction)}, polynomial has rank {self.rank}"
             )
         result = {}
-        for exponents, coefficient in self.terms.items():
+        for key, coefficient in self._terms.items():
+            exponents = _decode(key, self.rank)
             scale = coefficient
             for e, x in zip(exponents, direction):
                 scale *= x ** e
-            key = (sum(exponents),)
-            result[key] = result.get(key, 0) + scale
+            degree = sum(exponents)  # the rank-1 key of u^degree
+            result[degree] = result.get(degree, 0) + scale
         return Polynomial._raw(1, result)
 
     def sorted_terms(self):
         """Terms in descending graded-lex order, as (exponents, coefficient)."""
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=_grlex, reverse=True)]
+        return sorted(self.terms.items(), key=lambda term: _grlex(term[0]), reverse=True)
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         pieces = []
         for exponents, coefficient in self.sorted_terms():
@@ -403,7 +461,10 @@ class LinearForm:
             content = gcd(content, abs(c))
         first = next(c for c in vector if c)
         scalar = content if first > 0 else -content
-        return cls(tuple(c // scalar for c in vector)), scalar
+        # canonical by construction, so __post_init__'s checks are skipped
+        form = object.__new__(cls)
+        object.__setattr__(form, "coefficients", tuple(c // scalar for c in vector))
+        return form, scalar
 
     @property
     def rank(self):
@@ -432,30 +493,18 @@ class LinearForm:
         return str(self.as_polynomial())
 
 
-def _scale(coefficient, factor):
-    # factor * coefficient; the common factors +-1 skip the product
-    if factor == 1:
-        return coefficient
-    if factor == -1:
-        return -coefficient
-    return factor * coefficient
-
-
-def _bump(exponents, index, step):
-    # exponents with exponents[index] raised by step
-    return exponents[:index] + (exponents[index] + step,) + exponents[index + 1 :]
-
-
 def _add_times(result, terms, vector):
-    # result += terms * (a1*u1 + ... + al*ul) on term dicts, in place, for an
-    # integer vector a: each nonzero a_j adds a_j * terms shifted by one in
-    # u_j.  Zero sums stay in `result` until Polynomial._raw drops them.
+    # result += terms * (a1*u1 + ... + al*ul) on packed-key term dicts, in
+    # place, for an integer vector a: each nonzero a_j adds a_j * terms with
+    # every key raised by the key of u_j.  Zero sums stay in `result` until
+    # Polynomial._raw drops them.
     for j, fj in enumerate(vector):
         if not fj:
             continue
-        for exponents, coefficient in terms.items():
-            term = _scale(coefficient, fj)
-            target = _bump(exponents, j, 1)
+        unit = 1 << _shift(len(vector), j)
+        for key, coefficient in terms.items():
+            term = fj * coefficient
+            target = key + unit
             previous = result.get(target)
             result[target] = term if previous is None else previous + term
     return result
@@ -469,13 +518,13 @@ def _check_vector(vector, rank):
 def _times_form(p, vector):
     # p * (a1*u1 + ... + al*ul) for an integer vector a of length p.rank
     _check_vector(vector, p.rank)
-    return Polynomial._raw(p.rank, _add_times({}, p.terms, vector))
+    return Polynomial._raw(p.rank, _add_times({}, p._terms, vector))
 
 
 def _elementary_symmetric(vectors, rank):
     # [e_0, ..., e_n] of the linear forms a.u for the integer vectors a, by
     # the recurrence e_j += e_{j-1} * (a.u), run on term dicts in place
-    table = [{(0,) * rank: 1}]
+    table = [{0: 1}]
     for vector in vectors:
         _check_vector(vector, rank)
         table.append({})
@@ -512,14 +561,17 @@ def linear_divide(p, form):
         raise RankMismatch(f"polynomial rank {p.rank} vs form rank {form.rank}")
     if not p:
         return p
+    rank = p.rank
     coefficients = form.coefficients
     pivot = next(i for i, c in enumerate(coefficients) if c)
     lead = coefficients[pivot]
-    rest = [(j, c) for j, c in enumerate(coefficients) if c and j != pivot]
+    shift = _shift(rank, pivot)
+    unit = 1 << shift
+    rest = [(1 << _shift(rank, j), -c) for j, c in enumerate(coefficients) if c and j != pivot]
     # slices[d]: the terms of p of pivot degree d, keys unchanged
     slices = {}
-    for exponents, coefficient in p.terms.items():
-        slices.setdefault(exponents[pivot], {})[exponents] = coefficient
+    for key, coefficient in p._terms.items():
+        slices.setdefault((key >> shift) & _FIELD_MASK, {})[key] = coefficient
     lower = iter(sorted(slices, reverse=True))
     degree = next(lower)
     carried = slices[degree]  # p_d - r*q_d at d = degree, where q_d = 0
@@ -527,16 +579,14 @@ def linear_divide(p, form):
     while degree > 0:
         degree -= 1
         step = {}  # q_{degree}
-        for exponents, coefficient in carried.items():
-            step[_bump(exponents, pivot, -1)] = (
-                coefficient if lead == 1 else Fraction(coefficient, lead)
-            )
+        for key, coefficient in carried.items():
+            step[key - unit] = coefficient if lead == 1 else Fraction(coefficient, lead)
         quotient.update(step)
         carried = dict(slices.get(degree, ()))
-        for exponents, coefficient in step.items():
-            for j, fj in rest:
-                term = _scale(coefficient, -fj)
-                target = _bump(exponents, j, 1)
+        for key, coefficient in step.items():
+            for unit_j, fj in rest:
+                term = fj * coefficient
+                target = key + unit_j
                 previous = carried.get(target)
                 if previous is None:
                     carried[target] = term
@@ -553,6 +603,20 @@ def linear_divide(p, form):
             carried = slices[degree]
     # the remainder p_0 - r*q_0 is nonzero
     return None
+
+
+def _cancel_coordinate(p, index, multiplicity):
+    # (p / u_j^k, k) for u_j = u_{index+1} and the largest k <= multiplicity
+    # such that u_j^k divides p: the lowest u_j exponent over p's keys.  Every
+    # power of u_j divides the zero polynomial.
+    if not p:
+        return p, multiplicity
+    shift = _shift(p.rank, index)
+    k = min(multiplicity, min((key >> shift) & _FIELD_MASK for key in p._terms))
+    if not k:
+        return p, 0
+    drop = k << shift
+    return Polynomial._raw(p.rank, {key - drop: c for key, c in p._terms.items()}), k
 
 
 class FactoredRational:
@@ -584,12 +648,20 @@ class FactoredRational:
         # full cancellation; linear forms are prime, so per-form greedy
         # division reaches the unique reduced representative in any order
         for form in list(multiset):
-            while multiset[form] > 0:
-                divided = linear_divide(numerator, form)
-                if divided is None:
-                    break
-                numerator = divided
-                multiset[form] -= 1
+            coefficients = form.coefficients
+            if coefficients.count(0) == len(coefficients) - 1:
+                # the form is a coordinate u_j: one key shift cancels it
+                numerator, cancelled = _cancel_coordinate(
+                    numerator, coefficients.index(1), multiset[form]
+                )
+                multiset[form] -= cancelled
+            else:
+                while multiset[form] > 0:
+                    divided = linear_divide(numerator, form)
+                    if divided is None:
+                        break
+                    numerator = divided
+                    multiset[form] -= 1
             if multiset[form] == 0:
                 del multiset[form]
         object.__setattr__(self, "numerator", numerator)

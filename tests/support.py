@@ -1,6 +1,8 @@
-"""Seeded random generators shared by the property and acceptance tests."""
+"""Seeded random generators and tuple-keyed reference arithmetic shared by the tests."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from torusloc import (
     ChernClass,
@@ -111,3 +113,49 @@ def random_homogeneous_expr(rng, half_dim, weight):
         combine = Sum if rng.random() < 0.5 else Difference
         node = combine(node, monomial(weight))
     return node
+
+
+# Tuple-keyed reference arithmetic on {exponent tuple: coefficient} dicts,
+# written independently of the packed keys in torusloc.exact.
+
+def reference_add(a, b):
+    total = dict(a)
+    for exponents, coefficient in b.items():
+        total[exponents] = total.get(exponents, 0) + coefficient
+    return {e: c for e, c in total.items() if c}
+
+
+def reference_mul(a, b):
+    product = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exponents = tuple(x + y for x, y in zip(ea, eb))
+            product[exponents] = product.get(exponents, 0) + ca * cb
+    return {e: c for e, c in product.items() if c}
+
+
+def reference_linear_divide(terms, coefficients):
+    """The quotient of `terms` by the linear form, or None if it does not divide.
+
+    Plain division by leading terms in lexicographic order (u1 > u2 > ...):
+    the form's leading monomial is its first variable x, so the form divides
+    exactly when every leading term met on the way is divisible by x.
+    """
+    pivot = next(i for i, c in enumerate(coefficients) if c)
+    lead = coefficients[pivot]
+    remainder = dict(terms)
+    quotient = {}
+    while remainder:
+        exponents = max(remainder)
+        if exponents[pivot] == 0:
+            return None
+        factor = Fraction(remainder[exponents], lead)
+        monomial = exponents[:pivot] + (exponents[pivot] - 1,) + exponents[pivot + 1 :]
+        quotient[monomial] = factor
+        for j, c in enumerate(coefficients):
+            if c:
+                target = monomial[:j] + (monomial[j] + 1,) + monomial[j + 1 :]
+                remainder[target] = remainder.get(target, 0) - factor * c
+                if not remainder[target]:
+                    del remainder[target]
+    return quotient

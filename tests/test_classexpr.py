@@ -25,6 +25,7 @@ from torusloc import (
     render,
     restrict,
 )
+from torusloc.classexpr import MAX_DEPTH
 
 from support import random_expr, random_point
 
@@ -111,6 +112,38 @@ def test_diagnostic_offsets_are_bytes():
     with pytest.raises(ParseError) as info:
         parse("c1 + é")
     assert info.value.diagnostic.offset == 5
+
+
+def test_parse_refuses_deep_nesting():
+    # 3000 nested parentheses and a flat sum of 3000 terms, whose left-nested
+    # tree `degree` and `restrict` would recurse down
+    for text in ("(" * 3000 + "c1" + ")" * 3000, " + ".join(["c2"] * 3000)):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert f"deeper than {MAX_DEPTH} levels" in info.value.diagnostic.message
+    with pytest.raises(ParseError) as info:
+        parse("(" * 3000 + "c1" + ")" * 3000)
+    assert info.value.diagnostic.offset == MAX_DEPTH - 1  # the first '(' too many
+
+
+def test_parse_depth_limit_is_exact():
+    # a flat sum of n terms is n levels deep; each group and exponent adds one
+    assert parse("+".join(["c1"] * MAX_DEPTH)) is not None
+    with pytest.raises(ParseError):
+        parse("+".join(["c1"] * (MAX_DEPTH + 1)))
+    inner = MAX_DEPTH - 2
+    assert parse("(" * inner + "c1^2" + ")" * inner) == Power(ChernClass(1), 2)
+    with pytest.raises(ParseError) as info:
+        parse("(" * (inner + 1) + "c1^2" + ")" * (inner + 1))
+    assert info.value.diagnostic.offset == 2 * inner + 5  # the last ')'
+
+
+def test_long_sum_evaluates():
+    expr = parse(" + ".join(["c2"] * 500))
+    point = FixedPoint("p", (Weight((1, 0)), Weight((0, 1)), Weight((1, 1))), 1)
+    assert degree(expr, 3) == 4
+    assert restrict(expr, point) == 500 * restrict(ChernClass(2), point)
+    assert render(expr) == " + ".join(["c2"] * 500)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,21 @@ def test_parse_error_exit_1(capsys):
     assert "offset 4" in err
 
 
+def test_deep_expressions_exit_1(capsys):
+    for text in ("(" * 3000 + "c1^2" + ")" * 3000, "+".join(["c2"] * 3000)):
+        code, out, err = run(capsys, "integrate", "--space", "cpn:2", "--expr", text)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "nests deeper than" in err and "Traceback" not in err
+
+
+def test_500_term_sum_evaluates(capsys):
+    expr = "+".join(["c2"] * 500)
+    code, out, _ = run(capsys, "integrate", "--space", "cpn:2", "--expr", expr, "--top")
+    assert code == EXIT_OK
+    assert out == "1500\n"
+
+
 def test_validation_error_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from torusloc import FactoredRational, LinearForm, NotPolynomialError, Polynomial, RankMismatch, linear_divide
 from torusloc.exact import _times_form
 
-from support import random_fraction
+from support import random_fraction, reference_add, reference_linear_divide, reference_mul
 
 u = Polynomial.variable(1, 0)
 u1 = Polynomial.variable(2, 0)
@@ -461,6 +461,127 @@ def test_constant_coefficient_is_a_fraction():
     assert type(Polynomial.zero(3).constant_coefficient()) is Fraction
     assert Polynomial.zero(3).constant_coefficient() == 0
     assert type(Polynomial.constant(2, 5).constant_coefficient()) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# packed monomial keys: results decode to what tuple-keyed arithmetic gives
+
+def wide_polynomials(rank):
+    # exponents up to 2**30 - 1 in every field, so that products stay valid
+    return st.dictionaries(
+        st.tuples(*[st.sampled_from((0, 1, 2, 5, 2**30 - 1))] * rank), coefficients, max_size=4
+    ).map(lambda terms: Polynomial(rank, terms))
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda rank: st.tuples(
+            st.one_of(quotients(rank), wide_polynomials(rank)),
+            st.one_of(quotients(rank), wide_polynomials(rank)),
+            quotients(rank),
+            st.one_of(polynomials(rank), rational_polynomials(rank)),
+            linear_forms(rank, 5),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_packed_arithmetic_matches_tuple_reference(data):
+    a, b, quotient, p, form = data
+    assert (a + b).terms == reference_add(a.terms, b.terms)
+    assert (a * b).terms == reference_mul(a.terms, b.terms)
+    for dividend in (p, quotient * form.as_polynomial(), quotient * form.as_polynomial() + p):
+        expected = reference_linear_divide(dividend.terms, form.coefficients)
+        divided = linear_divide(dividend, form)
+        if expected is None:
+            assert divided is None
+        else:
+            assert divided.terms == expected
+
+
+def test_terms_is_a_decoded_read_only_view():
+    p = Polynomial(3, {(2**31 - 1, 0, 4): 3, (0, 0, 0): -1})
+    assert p.terms == {(2**31 - 1, 0, 4): 3, (0, 0, 0): -1}
+    p.terms[(1, 1, 1)] = 5  # a fresh dict each time: the polynomial is unchanged
+    assert (1, 1, 1) not in p.terms
+    with pytest.raises(AttributeError):
+        p.terms = {}
+
+
+def test_exponent_limit_in_constructor():
+    with pytest.raises(ValueError):
+        Polynomial(1, {(2**31,): 1})
+    with pytest.raises(ValueError):
+        Polynomial(3, {(0, 2**31, 0): 1})
+    assert Polynomial(1, {(2**31 - 1,): 1}).degree() == 2**31 - 1
+
+
+def test_crossing_the_exponent_guard_raises():
+    top = Polynomial(2, {(2**31 - 1, 0): 1})
+    low = Polynomial(2, {(0, 2**31 - 1): 1})
+    with pytest.raises(ValueError):
+        top * u1
+    with pytest.raises(ValueError):
+        low * u2  # does not carry into the u1 field
+    with pytest.raises(ValueError):
+        _times_form(low, (0, 1))
+    with pytest.raises(ValueError):
+        Polynomial(1, {(2**30,): 1}) ** 2
+    with pytest.raises(ValueError):
+        Polynomial(2, {(2**30, 2**30): 1}).substitute((1, 1))
+    # raising another variable's exponent is fine
+    assert (low * u1).terms == {(1, 2**31 - 1): 1}
+
+
+# ---------------------------------------------------------------------------
+# cancellation of coordinate forms u_j by one key shift
+
+def test_coordinate_form_partial_cancellation():
+    fraction = FactoredRational(u ** 5 + 3 * u ** 3, {U: 5})
+    assert fraction.numerator == u ** 2 + 3
+    assert fraction.denominator == {U: 2}
+
+
+def test_coordinate_form_full_cancellation():
+    fraction = FactoredRational(u ** 7 - 2 * u ** 4, {U: 3})
+    assert fraction.is_polynomial
+    assert fraction.numerator == u ** 4 - 2 * u
+
+
+def test_coordinate_form_zero_numerator_clears_denominator():
+    fraction = FactoredRational(Polynomial.zero(3), {LinearForm((0, 1, 0)): 4})
+    assert fraction.numerator.is_zero and fraction.denominator == {}
+
+
+def test_coordinate_form_inside_rank3_fraction():
+    v1, v2, v3 = (Polynomial.variable(3, i) for i in range(3))
+    numerator = v1 * v2 ** 2 * v3 + v2 ** 3 * v3 ** 2 - v1 ** 2 * v2 ** 4 * v3
+    u2_form, u3_form, other = LinearForm((0, 1, 0)), LinearForm((0, 0, 1)), LinearForm((1, 1, 0))
+    fraction = FactoredRational(numerator, {u2_form: 3, u3_form: 1, other: 1})
+    assert fraction.denominator == {u2_form: 1, other: 1}
+    assert fraction.numerator == v1 + v2 * v3 - v1 ** 2 * v2 ** 2
+    # the same value as dividing by u2 one power at a time
+    expected = numerator.terms
+    for form in (u2_form, u2_form, u3_form):
+        expected = reference_linear_divide(expected, form.coefficients)
+    assert fraction.numerator.terms == expected
+    assert reference_linear_divide(expected, u2_form.coefficients) is None
+
+
+def test_coordinate_forms_need_no_linear_divide(monkeypatch):
+    def refuse(p, form):
+        raise AssertionError(f"linear_divide called for {form}")
+
+    monkeypatch.setattr("torusloc.exact.linear_divide", refuse)
+    fraction = FactoredRational(u ** 5 + 3 * u ** 3, {U: 5})
+    assert fraction.denominator == {U: 2}
+
+
+def test_normalize_builds_a_valid_form():
+    for vector in ((2, -4), (-3, 0, 6), (0, 0, -7), (5,)):
+        form, scalar = LinearForm.normalize(vector)
+        assert LinearForm(form.coefficients) == form  # passes full validation
+        assert hash(LinearForm(form.coefficients)) == hash(form)
+        assert tuple(scalar * c for c in form.coefficients) == vector
 
 
 def test_frac_add_randomized_batch():
