@@ -63,10 +63,6 @@ class Weight:
         """(LinearForm, integer scalar) with scalar * form == components."""
         return LinearForm.normalize(self.components)
 
-    def as_polynomial(self):
-        form, scalar = self.primitive()
-        return scalar * form.as_polynomial()
-
     def pair(self, direction):
         direction = tuple(direction)
         if len(direction) != self.rank:

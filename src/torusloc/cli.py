@@ -12,7 +12,7 @@ All results go to stdout, diagnostics to stderr.
 
 Exit codes: 0 success, 1 expression parse error, 2 invalid problem data or
 direction, 3 localization sum is not a polynomial (or vanishing fails),
-4 degree mismatch.
+4 degree mismatch, 5 internal error (an internal consistency check failed).
 """
 
 from __future__ import annotations
@@ -30,16 +30,9 @@ from .action import (
     circle_reduce,
     validate,
 )
-from .classexpr import (
-    EulerClass,
-    InhomogeneousExpression,
-    ParseError,
-    degree,
-    parse,
-    render,
-)
-from .exact import NotPolynomialError
-from .localize import DegreeMismatch, localize
+from .classexpr import InhomogeneousExpression, ParseError, parse, render
+from .exact import NotPolynomialError, RankMismatch
+from .localize import DegreeMismatch, localize, localize_euler, localize_top
 from .spaces import projective_space, product, sphere_rotation
 
 EXIT_OK = 0
@@ -47,6 +40,7 @@ EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_NOT_POLYNOMIAL = 3
 EXIT_DEGREE = 4
+EXIT_INTERNAL = 5
 
 DOCUMENT_FORMAT = 1
 
@@ -138,22 +132,6 @@ def document_to_problem(doc):
     return LocalizationProblem(doc["torus_rank"], doc["half_dim"], tuple(points))
 
 
-def problem_to_document(problem):
-    return {
-        "format": DOCUMENT_FORMAT,
-        "torus_rank": problem.rank,
-        "half_dim": problem.half_dim,
-        "fixed_points": [
-            {
-                "name": point.label,
-                "weights": [list(w.components) for w in point.weights],
-                "sign": point.sign,
-            }
-            for point in problem.points
-        ],
-    }
-
-
 def load_problem_file(path):
     try:
         with open(path, encoding="utf-8") as handle:
@@ -240,69 +218,43 @@ def _fail(args, code, message):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _report(args, result, expr_text, line, terms=False):
+    terms = terms or args.terms
+    if args.as_json:
+        _emit(result_document(result, terms, expr_text))
+    else:
+        sys.stdout.write(f"{line}\n")
+        if terms:
+            _print_terms(result.per_point_terms)
+
+
 def _cmd_integrate(args, problem):
     expr = parse(args.expr)
-    class_degree = degree(expr, problem.half_dim)
-    if args.top and class_degree != problem.dimension:
-        raise DegreeMismatch(class_degree, problem.dimension)
-    result = localize(problem, expr)
-    if args.as_json:
-        _emit(result_document(result, args.terms, render(expr)))
-    elif args.top:
-        sys.stdout.write(f"{result.value.constant_coefficient()}\n")
-        if args.terms:
-            _print_terms(result.per_point_terms)
-    else:
-        sys.stdout.write(f"{result.value}\n")
-        if args.terms:
-            _print_terms(result.per_point_terms)
+    result = (localize_top if args.top else localize)(problem, expr)
+    _report(args, result, render(expr), result.value)
     return EXIT_OK
 
 
 def _cmd_euler(args, problem):
-    result = localize(problem, EulerClass())
-    chi = result.value.constant_coefficient()
-    count = len(problem.points)
-    if chi != count:
-        raise RuntimeError(
-            f"Euler characteristic {chi} does not match fixed point count {count}"
-        )
-    sys.stderr.write(f"fixed points: {count} (matches the localized integral)\n")
-    if args.as_json:
-        _emit(result_document(result, args.terms, "e"))
-    else:
-        sys.stdout.write(f"{chi}\n")
-        if args.terms:
-            _print_terms(result.per_point_terms)
+    result = localize_euler(problem)
+    sys.stderr.write(f"fixed points: {len(problem.points)} (matches the localized integral)\n")
+    _report(args, result, "e", result.value)
     return EXIT_OK
 
 
 def _cmd_check(args, problem):
     expr = parse(args.expr)
-    class_degree = degree(expr, problem.half_dim)
     result = localize(problem, expr)
-    if class_degree < problem.dimension and not result.value.is_zero:
-        sys.stderr.write(
-            f"error: degree {class_degree} < dimension {problem.dimension} "
-            f"but the sum is nonzero\n"
-        )
-        if args.as_json:
-            _emit(result_document(result, True, render(expr)))
-        else:
-            sys.stdout.write(f"counterexample: {result.value}\n")
-            _print_terms(result.per_point_terms)
-        return EXIT_NOT_POLYNOMIAL
-    if args.as_json:
-        _emit(result_document(result, args.terms, render(expr)))
+    text = render(expr)
+    below = f"degree {result.class_degree} < dimension {result.dimension}"
+    if result.class_degree >= result.dimension:
+        _report(args, result, text, f"ok: polynomial, value = {result.value}")
+    elif result.value.is_zero:
+        _report(args, result, text, f"ok: {below}, sum is 0")
     else:
-        if class_degree < problem.dimension:
-            sys.stdout.write(
-                f"ok: degree {class_degree} < dimension {problem.dimension}, sum is 0\n"
-            )
-        else:
-            sys.stdout.write(f"ok: polynomial, value = {result.value}\n")
-        if args.terms:
-            _print_terms(result.per_point_terms)
+        sys.stderr.write(f"error: {below} but the sum is nonzero\n")
+        _report(args, result, text, f"counterexample: {result.value}", terms=True)
+        return EXIT_NOT_POLYNOMIAL
     return EXIT_OK
 
 
@@ -384,6 +336,9 @@ def main(argv=None):
         return args.run(args, problem)
     except ParseError as exc:
         return _fail(args, EXIT_PARSE, f"expression parse error {exc}")
+    except (RankMismatch, RuntimeError, AssertionError) as exc:
+        # internal consistency checks; RankMismatch is a ValueError, so first
+        return _fail(args, EXIT_INTERNAL, f"internal error: {exc}")
     except (DocumentError, ValidationError, NonGenericDirection, ValueError) as exc:
         return _fail(args, EXIT_INVALID, str(exc))
     except NotPolynomialError as exc:

@@ -26,7 +26,6 @@ u1 > u2 > ... > ul.
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -258,42 +257,9 @@ class Polynomial:
             return None
         return max(sum(_decode(key, self.rank)) for key in self._terms)
 
-    def is_homogeneous(self):
-        degrees = {sum(_decode(key, self.rank)) for key in self._terms}
-        return len(degrees) <= 1
-
-    def cohomological_degree(self):
-        """2 * total degree for a homogeneous polynomial; None if zero."""
-        if not self._terms:
-            return None
-        if not self.is_homogeneous():
-            raise ValueError(f"not homogeneous: {self}")
-        return 2 * self.degree()
-
     def constant_coefficient(self):
         """The coefficient of 1, always as a Fraction."""
         return Fraction(self._terms.get(0, 0))
-
-    def substitute(self, direction):
-        """Specialize u_i -> direction[i] * u, giving a rank-1 polynomial.
-
-        Ring homomorphism onto Q[u]; `direction` is an integer vector of
-        length `rank`.
-        """
-        direction = tuple(operator.index(x) for x in direction)
-        if len(direction) != self.rank:
-            raise RankMismatch(
-                f"direction has length {len(direction)}, polynomial has rank {self.rank}"
-            )
-        result = {}
-        for key, coefficient in self._terms.items():
-            exponents = _decode(key, self.rank)
-            scale = coefficient
-            for e, x in zip(exponents, direction):
-                scale *= x ** e
-            degree = sum(exponents)  # the rank-1 key of u^degree
-            result[degree] = result.get(degree, 0) + scale
-        return Polynomial._raw(1, result)
 
     def sorted_terms(self):
         """Terms in descending graded-lex order, as (exponents, coefficient)."""
@@ -325,99 +291,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial(rank={self.rank}, {self})"
-
-    @classmethod
-    def parse(cls, text, rank):
-        """Parse the canonical rendering back into a polynomial.
-
-        Inverse of str() for any polynomial of the given rank; raises
-        ValueError on malformed input or variable indices above the rank.
-        """
-        return _parse_polynomial(text, rank)
-
-
-_POLY_TOKEN = re.compile(r"\s*(?:(\d+)|u(\d+)|([+\-*/^()]))")
-
-
-def _parse_polynomial(text, rank):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _POLY_TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip():
-                raise ValueError(f"unexpected character {text[pos:].lstrip()[0]!r} in polynomial")
-            break
-        if match.group(1) is not None:
-            tokens.append(("int", int(match.group(1))))
-        elif match.group(2) is not None:
-            tokens.append(("var", int(match.group(2))))
-        else:
-            tokens.append((match.group(3), None))
-        pos = match.end()
-
-    result = Polynomial.zero(rank)
-    i = 0
-
-    def parse_term(i):
-        coefficient = Fraction(1)
-        exponents = [0] * rank
-        expect_factor = True
-        saw_factor = False
-        while i < len(tokens):
-            kind, value = tokens[i]
-            if kind == "int":
-                coefficient *= value
-                i += 1
-                if i < len(tokens) and tokens[i][0] == "/":
-                    if i + 1 >= len(tokens) or tokens[i + 1][0] != "int":
-                        raise ValueError("expected integer denominator")
-                    coefficient /= tokens[i + 1][1]
-                    i += 2
-            elif kind == "var":
-                index = value
-                if not 1 <= index <= rank:
-                    raise ValueError(f"variable u{index} out of range for rank {rank}")
-                power = 1
-                i += 1
-                if i < len(tokens) and tokens[i][0] == "^":
-                    if i + 1 >= len(tokens) or tokens[i + 1][0] != "int":
-                        raise ValueError("expected integer exponent after '^'")
-                    power = tokens[i + 1][1]
-                    i += 2
-                exponents[index - 1] += power
-            else:
-                break
-            saw_factor = True
-            expect_factor = False
-            if i < len(tokens) and tokens[i][0] == "*":
-                i += 1
-                expect_factor = True
-        if expect_factor or not saw_factor:
-            raise ValueError("expected a term")
-        return coefficient, tuple(exponents), i
-
-    sign = 1
-    if i < len(tokens) and tokens[i][0] == "-":
-        sign = -1
-        i += 1
-    elif i < len(tokens) and tokens[i][0] == "+":
-        i += 1
-    if not tokens:
-        raise ValueError("empty polynomial text")
-    while True:
-        coefficient, exponents, i = parse_term(i)
-        result = result + Polynomial(rank, {exponents: sign * coefficient})
-        if i == len(tokens):
-            return result
-        kind = tokens[i][0]
-        if kind == "+":
-            sign = 1
-        elif kind == "-":
-            sign = -1
-        else:
-            raise ValueError(f"unexpected token {kind!r} in polynomial")
-        i += 1
 
 
 @dataclass(frozen=True)
@@ -479,15 +352,6 @@ class LinearForm:
                 if c
             },
         )
-
-    def pair(self, direction):
-        """Integer pairing <form, direction>."""
-        direction = tuple(direction)
-        if len(direction) != self.rank:
-            raise RankMismatch(
-                f"direction has length {len(direction)}, form has rank {self.rank}"
-            )
-        return sum(c * x for c, x in zip(self.coefficients, direction))
 
     def __str__(self):
         return str(self.as_polynomial())
@@ -674,17 +538,9 @@ class FactoredRational:
     def zero(cls, rank):
         return cls(Polynomial.zero(rank))
 
-    @classmethod
-    def from_polynomial(cls, p):
-        return cls(p)
-
     @property
     def rank(self):
         return self.numerator.rank
-
-    @property
-    def is_polynomial(self):
-        return not self.denominator
 
     def as_polynomial(self):
         """The numerator when the denominator is empty; raises otherwise."""
@@ -725,26 +581,6 @@ class FactoredRational:
         return self.numerator == other.numerator and self.denominator == other.denominator
 
     __hash__ = None
-
-    def substitute(self, direction):
-        """Specialize every variable along an integer direction, u_i -> xi_i * u.
-
-        Each denominator form must pair nonzero with the direction; the
-        resulting rank-1 fraction has denominator a power of u.
-        """
-        numerator = self.numerator.substitute(direction)
-        scale = 1
-        total = 0
-        for form, multiplicity in self.denominator.items():
-            value = form.pair(direction)
-            if value == 0:
-                raise ZeroDivisionError(
-                    f"direction {tuple(direction)} annihilates denominator form {form}"
-                )
-            scale *= value ** multiplicity
-            total += multiplicity
-        den = {LinearForm((1,)): total} if total else {}
-        return FactoredRational(numerator * Fraction(1, scale), den)
 
     def sorted_denominator(self):
         return sorted(self.denominator.items(), key=lambda kv: kv[0].coefficients)

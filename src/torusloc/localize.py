@@ -7,10 +7,17 @@ guaranteed to cancel to a polynomial in u1, ..., ul whenever the input data
 comes from a genuine action and class.  Non-cancellation is therefore the
 primary diagnostic that the fixed-point data is geometrically inconsistent,
 and is reported with every per-point term attached.
+
+The rules built on the sum live here once, not in the command line:
+the degree gates (== dim M for `localize_top`, < dim M for
+`check_vanishing`), checked before any point term is evaluated; the
+assertion that a top-degree value is constant; and the check that the Euler
+characteristic equals the fixed-point count (`localize_euler`).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,24 +70,12 @@ def point_term(point, expr, rank):
     return FactoredRational(numerator, denominator)
 
 
-def _tree_sum(terms, zero):
-    layer = list(terms) or [zero]
-    while len(layer) > 1:
-        paired = [a + b for a, b in zip(layer[::2], layer[1::2])]
-        if len(layer) % 2:
-            paired.append(layer[-1])
-        layer = paired
-    return layer[0]
-
-
-def localize(problem, expr, *, cross_check=False):
+def localize(problem, expr):
     """Evaluate the localization sum and certify that it is a polynomial.
 
     `expr` may be a ClassExpr or expression text.  Terms are added pairwise
-    in input order; with cross_check=True the sum is recomputed by a tree
-    reduction and asserted equal (exactness makes any order equivalent).
-    Raises NotPolynomialError with per-point terms attached when the
-    denominators fail to cancel, and InhomogeneousExpression for an
+    in input order.  Raises NotPolynomialError with per-point terms attached
+    when the denominators fail to cancel, and InhomogeneousExpression for an
     expression without a single degree.
     """
     validate(problem)
@@ -92,12 +87,6 @@ def localize(problem, expr, *, cross_check=False):
     total = FactoredRational.zero(problem.rank)
     for _, term in terms:
         total = total + term
-    if cross_check:
-        retotal = _tree_sum([term for _, term in terms], FactoredRational.zero(problem.rank))
-        if retotal != total:
-            raise AssertionError(
-                f"reduction order changed an exact sum: {total} vs {retotal}"
-            )
     try:
         value = total.as_polynomial()
     except NotPolynomialError:
@@ -105,50 +94,70 @@ def localize(problem, expr, *, cross_check=False):
     return LocalizationResult(value, terms, class_degree, problem.dimension)
 
 
+_REQUIREMENTS = {"==": operator.eq, "<": operator.lt}
+
+
+def _require_degree(problem, expr, requirement):
+    # the degree gate: runs before any point term is evaluated
+    expr = _as_expr(expr)
+    class_degree = degree(expr, problem.half_dim)
+    if not _REQUIREMENTS[requirement](class_degree, problem.dimension):
+        raise DegreeMismatch(class_degree, problem.dimension, requirement)
+    return expr
+
+
+def localize_top(problem, expr):
+    """localize() for a top-degree class; the value is a constant polynomial.
+
+    Raises DegreeMismatch unless degree(expr) == dim M, before any point
+    term is evaluated.  A value that is not constant cannot come from an
+    exact sum of degree-0 terms, so it raises AssertionError.
+    """
+    result = localize(problem, _require_degree(problem, expr, "=="))
+    if result.value.degree():  # None for 0, 0 for any other constant
+        raise AssertionError(
+            f"top-degree localization value is not constant: {result.value}"
+        )
+    return result
+
+
 def integrate_top(problem, expr):
     """The ordinary integral of a top-degree class, as an exact rational.
 
-    Requires degree(expr) == dim M; the localization value is then a
-    constant polynomial and its constant term is returned.
+    The constant value of localize_top(problem, expr).
     """
-    expr = _as_expr(expr)
-    class_degree = degree(expr, problem.half_dim)
-    if class_degree != 2 * problem.half_dim:
-        raise DegreeMismatch(class_degree, 2 * problem.half_dim)
-    result = localize(problem, expr)
-    value = result.value
-    if value and value.degree() > 0:
-        raise AssertionError(f"top-degree localization value is not constant: {value}")
-    return value.constant_coefficient()
+    return localize_top(problem, expr).value.constant_coefficient()
 
-def euler_characteristic(problem):
-    """Euler characteristic as the localization integral of the Euler class.
 
-    Each fixed point contributes euler(p)/euler(p) = 1, so the result equals
-    the number of fixed points; that identity is asserted as an internal
-    consistency check before returning.
+def localize_euler(problem):
+    """localize_top() of the Euler class, checked against the fixed points.
+
+    Each fixed point contributes euler(p)/euler(p) = 1, so the value equals
+    the number of fixed points; a mismatch is an internal consistency
+    failure and raises RuntimeError.
     """
-    chi = integrate_top(problem, EulerClass())
+    result = localize_top(problem, EulerClass())
+    chi = result.value.constant_coefficient()
     if chi != len(problem.points):
         raise RuntimeError(
             f"Euler characteristic {chi} does not match fixed point count "
             f"{len(problem.points)}"
         )
-    return int(chi)
+    return result
+
+
+def euler_characteristic(problem):
+    """Euler characteristic as the localization integral of the Euler class."""
+    return int(localize_euler(problem).value.constant_coefficient())
 
 
 def check_vanishing(problem, expr):
     """Certify that a below-top-degree class localizes to zero.
 
-    Requires degree(expr) < dim M.  Returns None when the sum cancels to 0,
-    and the offending nonzero polynomial otherwise (possible only for
-    arithmetic bugs, never for exact sums of homogeneous terms).
+    Raises DegreeMismatch unless degree(expr) < dim M, before any point term
+    is evaluated.  Returns None when the sum cancels to 0, and the offending
+    nonzero polynomial otherwise (possible only for arithmetic bugs, never
+    for exact sums of homogeneous terms).
     """
-    expr = _as_expr(expr)
-    class_degree = degree(expr, problem.half_dim)
-    if class_degree >= 2 * problem.half_dim:
-        raise DegreeMismatch(class_degree, 2 * problem.half_dim, requirement="<")
-    result = localize(problem, expr)
-    if result.value.is_zero:
-        return None
-    return result.value
+    value = localize(problem, _require_degree(problem, expr, "<")).value
+    return value or None

@@ -1,4 +1,4 @@
-"""Seeded random generators and tuple-keyed reference arithmetic shared by the tests."""
+"""Seeded random generators and reference implementations shared by the tests."""
 
 from __future__ import annotations
 
@@ -15,9 +15,11 @@ from torusloc import (
     Polynomial,
     Power,
     Product,
+    RankMismatch,
     Sum,
     Weight,
 )
+from torusloc.cli import DOCUMENT_FORMAT
 
 
 def random_exponents(rng, rank, max_degree):
@@ -159,3 +161,54 @@ def reference_linear_divide(terms, coefficients):
                 if not remainder[target]:
                     del remainder[target]
     return quotient
+
+
+def specialize(value, xi):
+    """A Polynomial or FactoredRational restricted to the circle along xi.
+
+    Substitutes u_i -> xi_i * u, a ring homomorphism onto Q[u]; a fraction's
+    denominator becomes a power of u.  A reference for `circle_reduce`,
+    computed from the torus value instead of the reduced fixed-point data.
+    """
+    xi = tuple(xi)
+    if len(xi) != value.rank:
+        raise RankMismatch(f"direction of length {len(xi)} vs rank {value.rank}")
+    if isinstance(value, FactoredRational):
+        scale, power = 1, 0
+        for form, multiplicity in value.denominator.items():
+            pairing = sum(c * x for c, x in zip(form.coefficients, xi))
+            if pairing == 0:
+                raise ZeroDivisionError(f"direction {xi} annihilates denominator form {form}")
+            scale *= pairing**multiplicity
+            power += multiplicity
+        numerator = specialize(value.numerator, xi) * Fraction(1, scale)
+        return FactoredRational(numerator, {LinearForm((1,)): power})
+    terms = {}
+    for exponents, coefficient in value.terms.items():
+        for e, x in zip(exponents, xi):
+            coefficient *= x**e
+        key = (sum(exponents),)
+        terms[key] = terms.get(key, 0) + coefficient
+    return Polynomial(1, terms)
+
+
+def cohomological_degrees(p):
+    """The set of cohomological degrees 2*(e1 + ... + el) of p's terms."""
+    return {2 * sum(exponents) for exponents in p.terms}
+
+
+def problem_to_document(problem):
+    """The problem file document of a LocalizationProblem (inverse of the CLI's reader)."""
+    return {
+        "format": DOCUMENT_FORMAT,
+        "torus_rank": problem.rank,
+        "half_dim": problem.half_dim,
+        "fixed_points": [
+            {
+                "name": point.label,
+                "weights": [list(w.components) for w in point.weights],
+                "sign": point.sign,
+            }
+            for point in problem.points
+        ],
+    }

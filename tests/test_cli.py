@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, JSON schemas."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -7,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from torusloc import Polynomial
+from torusloc import FactoredRational, Polynomial
 from torusloc.cli import (
     EXIT_DEGREE,
+    EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_NOT_POLYNOMIAL,
     EXIT_OK,
@@ -18,8 +20,12 @@ from torusloc.cli import (
     document_to_problem,
     main,
     parse_space,
-    problem_to_document,
 )
+
+from support import problem_to_document
+
+LOCALIZE = importlib.import_module("torusloc.localize")
+POINT_TERM = LOCALIZE.point_term
 
 
 def run(capsys, *argv):
@@ -132,8 +138,7 @@ def test_json_result_document(capsys):
     doc = json.loads(out)
     assert doc["format"] == 1
     assert doc["status"] == "polynomial"
-    # the value string round-trips to the identical polynomial
-    value = Polynomial.parse(doc["value"], 2)
+    # value_terms carry the value; the value string is its rendering
     rebuilt = Polynomial(
         2,
         {
@@ -141,7 +146,8 @@ def test_json_result_document(capsys):
             for term in doc["value_terms"]
         },
     )
-    assert value == Polynomial.parse("2*u1^2 - 4*u1*u2 + 2*u2^2", 2) == rebuilt
+    assert rebuilt == Polynomial(2, {(2, 0): 2, (1, 1): -4, (0, 2): 2})
+    assert doc["value"] == str(rebuilt)
     assert [entry["name"] for entry in doc["per_point"]] == ["p0", "p1"]
     for entry in doc["per_point"]:
         assert entry["denominator"] == []
@@ -260,6 +266,52 @@ def test_inhomogeneous_exit_4(capsys):
     code, _, err = run(capsys, "integrate", "--space", "cpn:2", "--expr", "c1 + c2")
     assert code == EXIT_DEGREE
     assert "inhomogeneous" in err
+
+
+def test_top_degree_gate_runs_before_evaluation(capsys, monkeypatch):
+    def refuse(point, expr, rank):
+        raise AssertionError("a point term was evaluated")
+
+    monkeypatch.setattr(LOCALIZE, "point_term", refuse)
+    code, out, err = run(capsys, "integrate", "--space", "cpn:2", "--expr", "c1^599", "--top")
+    assert code == EXIT_DEGREE
+    assert out == "" and "degree 1198" in err
+
+
+# Sabotaged point terms that break an internal consistency check.
+
+def doubled(point, expr, rank):
+    term = POINT_TERM(point, expr, rank)
+    return term + term
+
+
+def plus_u1(point, expr, rank):
+    return POINT_TERM(point, expr, rank) + FactoredRational(Polynomial.variable(rank, 0))
+
+
+def wrong_rank(point, expr, rank):
+    return FactoredRational(Polynomial.constant(rank + 1, 1))
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize(
+    "sabotage, argv, message",
+    [
+        (doubled, ("euler", "--space", "cpn:2"), "does not match fixed point count 3"),
+        (plus_u1, ("integrate", "--space", "cpn:1", "--expr", "c1", "--top"), "is not constant"),
+        (wrong_rank, ("integrate", "--space", "cpn:1", "--expr", "c1"), "rank 2 vs rank 3"),
+    ],
+)
+def test_internal_error_exit_5(capsys, monkeypatch, sabotage, argv, message, as_json):
+    monkeypatch.setattr(LOCALIZE, "point_term", sabotage)
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert code == EXIT_INTERNAL
+    assert err.startswith("error: internal error: ") and err.count("\n") == 1
+    assert message in err
+    if as_json:
+        assert json.loads(out) == {"format": 1, "status": "error", "error": err[7:-1]}
+    else:
+        assert out == ""
 
 
 def test_bad_xi_exit_2(capsys):

@@ -14,7 +14,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from torusloc import projective_space
-from torusloc.cli import problem_to_document, main
+from torusloc.cli import main
+
+from support import problem_to_document
 
 GOLDEN = Path(__file__).with_name("golden_cli.txt")
 FLIPPED = "{flipped}"  # stands for a CP^2 problem file with p0's sign flipped
