@@ -152,6 +152,17 @@ def validate(problem):
         raise ValidationError(problems)
 
 
+def _point_rank(point, rank):
+    if rank is None:
+        if not point.weights:
+            raise ValueError("rank is required for a point with no weights")
+        rank = point.weights[0].rank
+    for weight in point.weights:
+        if weight.is_zero:
+            raise ValueError(f"zero weight at point {point.label!r}")
+    return rank
+
+
 def equivariant_euler(point, rank=None):
     """Equivariant Euler class of the tangent space at a fixed point.
 
@@ -159,14 +170,8 @@ def equivariant_euler(point, rank=None):
     polynomial of cohomological degree 2n.  `rank` is only needed to fix the
     ambient ring when the point has no weights (half_dim == 0).
     """
-    if rank is None:
-        if not point.weights:
-            raise ValueError("rank is required for a point with no weights")
-        rank = point.weights[0].rank
-    result = Polynomial.constant(rank, point.sign)
+    result = Polynomial.constant(_point_rank(point, rank), point.sign)
     for weight in point.weights:
-        if weight.is_zero:
-            raise ValueError(f"zero weight at point {point.label!r}")
         result = _times_form(result, weight.components)
     return result
 

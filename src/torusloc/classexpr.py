@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .action import equivariant_euler
+from .action import _point_rank, equivariant_euler
 from .exact import Polynomial, _elementary_symmetric
 
 
@@ -134,7 +134,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.fail(f"unexpected {self.found()}", expected)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() reads, or a digit it refuses
+            self.fail("integer literal cannot be read", expected, offset=start)
 
     def checked(self, depth):
         if depth > MAX_DEPTH:
@@ -315,13 +318,7 @@ def restrict(node, point, rank=None):
     equivariant Euler class, literals become constants.  Evaluation is a
     ring homomorphism.
     """
-    if rank is None:
-        if not point.weights:
-            raise ValueError("rank is required for a point with no weights")
-        rank = point.weights[0].rank
-    for weight in point.weights:
-        if weight.is_zero:
-            raise ValueError(f"zero weight at point {point.label!r}")
+    rank = _point_rank(point, rank)
     symmetric = _elementary_symmetric([w.components for w in point.weights], rank)
 
     def evaluate(n):

@@ -58,7 +58,10 @@ def parse_space(identifier):
     Grammar: spec := 'sphere' | 'cpn:' <n> | 'product:' spec ',' spec
     (nested products associate greedily to the left argument).
     """
-    problem, pos = _parse_space_at(identifier, 0)
+    try:
+        problem, pos = _parse_space_at(identifier, 0)
+    except RecursionError:
+        raise DocumentError("space identifier nests too deeply") from None
     if pos != len(identifier):
         raise DocumentError(
             f"unexpected {identifier[pos:]!r} after space identifier"
@@ -74,9 +77,10 @@ def _parse_space_at(text, pos):
         start = pos
         while pos < len(text) and text[pos].isdigit():
             pos += 1
-        if pos == start:
-            raise DocumentError("cpn: needs a positive integer, e.g. cpn:2")
-        n = int(text[start:pos])
+        try:
+            n = int(text[start:pos])
+        except ValueError:  # no digits, more than int() reads, or a digit it refuses
+            raise DocumentError("cpn: needs a positive integer, e.g. cpn:2") from None
         if n < 1:
             raise DocumentError(f"cpn:{n} is not defined; need n >= 1")
         return projective_space(n), pos
@@ -140,24 +144,25 @@ def load_problem_file(path):
         raise DocumentError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError(f"{path} nests too deeply to read") from None
     return document_to_problem(doc)
 
 
 # ---------------------------------------------------------------------------
 # result documents
 
+def _fraction_entry(fraction):
+    return {
+        "numerator": str(fraction.numerator),
+        "denominator": [
+            {"form": str(form), "power": power} for form, power in fraction.sorted_denominator()
+        ],
+    }
+
+
 def _per_point_entries(per_point_terms):
-    return [
-        {
-            "name": label,
-            "numerator": str(term.numerator),
-            "denominator": [
-                {"form": str(form), "power": power}
-                for form, power in term.sorted_denominator()
-            ],
-        }
-        for label, term in per_point_terms
-    ]
+    return [{"name": label, **_fraction_entry(term)} for label, term in per_point_terms]
 
 
 def result_document(result, include_per_point, expr_text=None):
@@ -182,19 +187,12 @@ def result_document(result, include_per_point, expr_text=None):
 
 
 def not_polynomial_document(error):
-    residual = error.fraction
     return {
         "format": DOCUMENT_FORMAT,
         "status": "not_polynomial",
         "value": None,
         "value_terms": [],
-        "residual": {
-            "numerator": str(residual.numerator),
-            "denominator": [
-                {"form": str(form), "power": power}
-                for form, power in residual.sorted_denominator()
-            ],
-        },
+        "residual": _fraction_entry(error.fraction),
         "per_point": _per_point_entries(error.per_point or ()),
     }
 

@@ -16,7 +16,11 @@ of two monomials is the sum of their keys and multiplying by u_i adds a
 constant.  The top bit of each field is a guard: exponents are at most
 2**31 - 1, and an operation whose result crosses a guard raises ValueError
 instead of carrying into the next variable.  The packed keys never leave
-this module; `Polynomial.terms` decodes them to exponent tuples.
+this module; `Polynomial.terms` decodes them to exponent tuples.  Every sum
+of term dicts, from addition to synthetic division, runs through one kernel,
+`_accumulate`: it adds a scaled, shifted copy of one dict into another and
+deletes a sum as soon as it reaches zero, so no stored term dict ever holds a
+zero coefficient.
 
 Conventions: monomial u1^e1 * ... * ul^el has cohomological degree
 2*(e1 + ... + el), and the canonical term order is graded lexicographic with
@@ -47,12 +51,10 @@ class NotPolynomialError(Exception):
     terms in `per_point` when raised from a localization sum.
     """
 
-    def __init__(self, fraction, per_point=None, message=None):
+    def __init__(self, fraction, per_point=None):
         self.fraction = fraction
         self.per_point = per_point
-        if message is None:
-            message = f"denominator factors survive cancellation: {fraction}"
-        super().__init__(message)
+        super().__init__(f"denominator factors survive cancellation: {fraction}")
 
 
 def _shift(rank, index):
@@ -83,20 +85,31 @@ def _decode(key, rank):
     return tuple((key >> shift) & _FIELD_MASK for shift in _shifts(rank))
 
 
+def _accumulate(result, terms, shift, scale):
+    # result += scale * x^shift * terms on packed-key term dicts, in place,
+    # where `shift` is the key of the monomial x and `scale` is nonzero; a sum
+    # that reaches zero is deleted at once, so `result` stays zero-free
+    for key, coefficient in terms.items():
+        target = key + shift
+        previous = result.get(target)
+        if previous is None:
+            result[target] = scale * coefficient
+        elif total := previous + scale * coefficient:
+            result[target] = total
+        else:
+            del result[target]
+    return result
+
+
 def _canonical(terms, rank):
-    # drop zero coefficients and turn integral Fractions into ints, in place;
-    # a surviving key past a guard bit is an exponent overflow
+    # turn integral Fractions into ints, in place; a key past a guard bit is
+    # an exponent overflow.  `terms` holds no zero (see _accumulate).
     invalid = _invalid_bits(rank)
-    zeros = []
     for key, coefficient in terms.items():
         if type(coefficient) is not int and coefficient.denominator == 1:
-            coefficient = terms[key] = coefficient.numerator
-        if not coefficient:
-            zeros.append(key)
-        elif key & invalid:
+            terms[key] = coefficient.numerator
+        if key & invalid:
             raise ValueError(f"exponent overflow: an exponent exceeds {MAX_EXPONENT}")
-    for key in zeros:
-        del terms[key]
     return terms
 
 
@@ -140,8 +153,8 @@ class Polynomial:
                 raise ValueError(f"exponent above {MAX_EXPONENT} in {exponents}")
             if type(coefficient) is not int:
                 coefficient = Fraction(coefficient)
-            key = _encode(exponents)
-            clean[key] = clean.get(key, 0) + coefficient
+            if coefficient:
+                _accumulate(clean, {_encode(exponents): coefficient}, 0, 1)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_terms", _canonical(clean, rank))
 
@@ -150,8 +163,8 @@ class Polynomial:
 
     @classmethod
     def _raw(cls, rank, terms):
-        # internal fast path: `terms` is a fresh dict keyed by packed keys that
-        # the new polynomial takes over; it is canonicalized in place
+        # internal fast path: `terms` is a fresh, zero-free dict keyed by packed
+        # keys that the new polynomial takes over; it is canonicalized in place
         self = object.__new__(cls)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_terms", _canonical(terms, rank))
@@ -199,10 +212,7 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         _check_same_rank(self, other)
-        result = dict(self._terms)
-        for key, coefficient in other._terms.items():
-            result[key] = result.get(key, 0) + coefficient
-        return Polynomial._raw(self.rank, result)
+        return Polynomial._raw(self.rank, _accumulate(dict(self._terms), other._terms, 0, 1))
 
     __radd__ = __add__
 
@@ -227,10 +237,8 @@ class Polynomial:
             return NotImplemented
         _check_same_rank(self, other)
         result = {}
-        for ka, ca in self._terms.items():
-            for kb, cb in other._terms.items():
-                key = ka + kb
-                result[key] = result.get(key, 0) + ca * cb
+        for key, coefficient in other._terms.items():
+            _accumulate(result, self._terms, key, coefficient)
         return Polynomial._raw(self.rank, result)
 
     __rmul__ = __mul__
@@ -306,18 +314,11 @@ class LinearForm:
     coefficients: tuple
 
     def __post_init__(self):
-        coefficients = tuple(operator.index(c) for c in self.coefficients)
-        object.__setattr__(self, "coefficients", coefficients)
-        if not any(coefficients):
-            raise ValueError("linear form must be nonzero")
-        content = 0
-        for c in coefficients:
-            content = gcd(content, abs(c))
-        first = next(c for c in coefficients if c)
-        if content != 1 or first < 0:
-            raise ValueError(
-                f"{coefficients} is not content-normalized; use LinearForm.normalize"
-            )
+        form, scalar = LinearForm.normalize(self.coefficients)
+        if scalar != 1:
+            vector = tuple(scalar * c for c in form.coefficients)
+            raise ValueError(f"{vector} is not content-normalized; use LinearForm.normalize")
+        object.__setattr__(self, "coefficients", form.coefficients)
 
     @classmethod
     def normalize(cls, vector):
@@ -334,7 +335,7 @@ class LinearForm:
             content = gcd(content, abs(c))
         first = next(c for c in vector if c)
         scalar = content if first > 0 else -content
-        # canonical by construction, so __post_init__'s checks are skipped
+        # canonical by construction; bypasses __post_init__, which calls this
         form = object.__new__(cls)
         object.__setattr__(form, "coefficients", tuple(c // scalar for c in vector))
         return form, scalar
@@ -344,14 +345,7 @@ class LinearForm:
         return len(self.coefficients)
 
     def as_polynomial(self):
-        return Polynomial(
-            self.rank,
-            {
-                tuple(1 if j == i else 0 for j in range(self.rank)): c
-                for i, c in enumerate(self.coefficients)
-                if c
-            },
-        )
+        return Polynomial._raw(self.rank, _add_times({}, {0: 1}, self.coefficients))
 
     def __str__(self):
         return str(self.as_polynomial())
@@ -359,18 +353,10 @@ class LinearForm:
 
 def _add_times(result, terms, vector):
     # result += terms * (a1*u1 + ... + al*ul) on packed-key term dicts, in
-    # place, for an integer vector a: each nonzero a_j adds a_j * terms with
-    # every key raised by the key of u_j.  Zero sums stay in `result` until
-    # Polynomial._raw drops them.
+    # place, for an integer vector a
     for j, fj in enumerate(vector):
-        if not fj:
-            continue
-        unit = 1 << _shift(len(vector), j)
-        for key, coefficient in terms.items():
-            term = fj * coefficient
-            target = key + unit
-            previous = result.get(target)
-            result[target] = term if previous is None else previous + term
+        if fj:
+            _accumulate(result, terms, 1 << _shift(len(vector), j), fj)
     return result
 
 
@@ -425,13 +411,13 @@ def linear_divide(p, form):
         raise RankMismatch(f"polynomial rank {p.rank} vs form rank {form.rank}")
     if not p:
         return p
-    rank = p.rank
     coefficients = form.coefficients
     pivot = next(i for i, c in enumerate(coefficients) if c)
     lead = coefficients[pivot]
-    shift = _shift(rank, pivot)
-    unit = 1 << shift
-    rest = [(1 << _shift(rank, j), -c) for j, c in enumerate(coefficients) if c and j != pivot]
+    shift = _shift(p.rank, pivot)
+    scale = 1 if lead == 1 else Fraction(1, lead)
+    # minus r, so that the carry p_d - r*q_d is one _add_times
+    rest = tuple(-c if j != pivot else 0 for j, c in enumerate(coefficients))
     # slices[d]: the terms of p of pivot degree d, keys unchanged
     slices = {}
     for key, coefficient in p._terms.items():
@@ -442,24 +428,9 @@ def linear_divide(p, form):
     quotient = {}
     while degree > 0:
         degree -= 1
-        step = {}  # q_{degree}
-        for key, coefficient in carried.items():
-            step[key - unit] = coefficient if lead == 1 else Fraction(coefficient, lead)
+        step = _accumulate({}, carried, -(1 << shift), scale)  # q_{degree}
         quotient.update(step)
-        carried = dict(slices.get(degree, ()))
-        for key, coefficient in step.items():
-            for unit_j, fj in rest:
-                term = fj * coefficient
-                target = key + unit_j
-                previous = carried.get(target)
-                if previous is None:
-                    carried[target] = term
-                    continue
-                total = previous + term
-                if total:
-                    carried[target] = total
-                else:
-                    del carried[target]
+        carried = _add_times(dict(slices.get(degree, ())), step, rest)
         if not carried:
             degree = next((d for d in lower if d < degree), None)
             if degree is None:

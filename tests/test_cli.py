@@ -198,6 +198,58 @@ def test_500_term_sum_evaluates(capsys):
     assert out == "1500\n"
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="int() has no digit limit")
+
+
+@needs_digit_limit
+def test_overlong_integer_literal_exit_1(capsys):
+    digits = "1" * (DIGIT_LIMIT + 1)
+    for prefix in ("", "c1*", "c", "c1^"):
+        code, out, err = run(capsys, "integrate", "--space", "cpn:1", "--expr", prefix + digits)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert f"offset {len(prefix)}: integer literal cannot be read" in err
+        assert err.count("\n") == 1
+
+
+@needs_digit_limit
+def test_overlong_cpn_dimension_exit_2(capsys):
+    code, out, err = run(capsys, "euler", "--space", "cpn:" + "1" * (DIGIT_LIMIT + 1))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "error: cpn: needs a positive integer, e.g. cpn:2\n"
+
+
+def test_digits_int_refuses_exit_cleanly(capsys):
+    # '²' passes str.isdigit but not int()
+    code, out, err = run(capsys, "integrate", "--space", "cpn:1", "--expr", "c²")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "offset 1: integer literal cannot be read" in err
+    code, out, err = run(capsys, "euler", "--space", "cpn:²")
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "error: cpn: needs a positive integer, e.g. cpn:2\n"
+
+
+def test_deeply_nested_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (("euler",), ("euler", "--json")):
+        code, out, err = run(capsys, *argv, "--file", str(path))
+        assert code == EXIT_INVALID
+        assert err == f"error: {path} nests too deeply to read\n"
+        assert (out == "") != ("--json" in argv)
+
+
+def test_deeply_nested_space_exit_2(capsys):
+    space = "product:" * 1200 + "sphere" + ",sphere" * 1200
+    code, out, err = run(capsys, "euler", "--space", space)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "error: space identifier nests too deeply\n"
+    with pytest.raises(DocumentError, match="nests too deeply"):
+        parse_space(space)
+
+
 def test_validation_error_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusloc import FactoredRational, LinearForm, NotPolynomialError, Polynomial, RankMismatch, linear_divide
-from torusloc.exact import _times_form
+from torusloc.exact import _elementary_symmetric, _times_form
 
 from support import (
     random_fraction,
@@ -388,6 +388,15 @@ def rational_fractions(rank):
     ).map(lambda pair: FactoredRational(*pair))
 
 
+class TwinIndex:
+    # an exponent that dict keys tell apart while Polynomial reads its int
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 @given(
     st.integers(1, 3).flatmap(
         lambda rank: st.tuples(
@@ -414,8 +423,22 @@ def rational_fractions(rank):
 )
 @settings(max_examples=80, deadline=None)
 def test_arithmetic_keeps_coefficients_canonical(data):
+    # no stored coefficient is zero, also where sums cancel to zero on the way
     p, q, form, vector, power, a, b = data
+    rank = p.rank
+    with_zeros = Polynomial(rank, {**{e: Fraction(0) for e in q.terms}, **p.terms})
+    # twin exponent vectors meet in one monomial, where p - q cancels
+    twins = {tuple(map(TwinIndex, e)): c for e, c in p.terms.items()}
+    twins.update({tuple(map(TwinIndex, e)): -c for e, c in q.terms.items()})
+    cancelled = Polynomial(rank, twins)
+    assert with_zeros == p and cancelled == p - q
+    negated = tuple(-x for x in vector)
     results = [
+        with_zeros,
+        cancelled,
+        Polynomial(rank, {e: c - c for e, c in q.terms.items()}),
+        form.as_polynomial(),
+        *_elementary_symmetric([vector, form.coefficients, negated, form.coefficients], rank),
         p + q,
         p - q,
         p * q,
