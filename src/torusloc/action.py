@@ -11,7 +11,7 @@ class of the point's tangent space -- is well defined.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exact import LinearForm, Polynomial, _times_form
 
@@ -84,8 +84,8 @@ class FixedPoint:
     """A labeled isolated fixed point with tangent weights and orientation sign."""
 
     label: str
-    weights: tuple = ()
-    sign: int = 1
+    weights: tuple
+    sign: int
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(_as_weight(w) for w in self.weights))
@@ -104,7 +104,7 @@ class LocalizationProblem:
 
     rank: int
     half_dim: int
-    points: tuple = field(default_factory=tuple)
+    points: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "rank", operator.index(self.rank))
@@ -152,25 +152,20 @@ def validate(problem):
         raise ValidationError(problems)
 
 
-def _point_rank(point, rank):
-    if rank is None:
-        if not point.weights:
-            raise ValueError("rank is required for a point with no weights")
-        rank = point.weights[0].rank
+def _check_nonzero_weights(point):
     for weight in point.weights:
         if weight.is_zero:
             raise ValueError(f"zero weight at point {point.label!r}")
-    return rank
 
 
-def equivariant_euler(point, rank=None):
+def equivariant_euler(point, rank):
     """Equivariant Euler class of the tangent space at a fixed point.
 
     sign * product of the weights as degree-2 classes; a nonzero homogeneous
-    polynomial of cohomological degree 2n.  `rank` is only needed to fix the
-    ambient ring when the point has no weights (half_dim == 0).
+    polynomial of cohomological degree 2n in the rank-`rank` ring.
     """
-    result = Polynomial.constant(_point_rank(point, rank), point.sign)
+    _check_nonzero_weights(point)
+    result = Polynomial.constant(rank, point.sign)
     for weight in point.weights:
         result = _times_form(result, weight.components)
     return result

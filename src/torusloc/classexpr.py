@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .action import _point_rank, equivariant_euler
+from .action import _check_nonzero_weights, equivariant_euler
 from .exact import Polynomial, _elementary_symmetric
 
 
@@ -127,17 +127,17 @@ class _Parser:
         c = self.peek()
         return "end of input" if not c else f"character {c!r}"
 
-    def uint(self, expected="unsigned integer"):
+    def uint(self):
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
-            self.fail(f"unexpected {self.found()}", expected)
+            self.fail(f"unexpected {self.found()}", "unsigned integer")
         try:
             return int(self.text[start:self.pos])
         except ValueError:  # more digits than int() reads, or a digit it refuses
-            self.fail("integer literal cannot be read", expected, offset=start)
+            self.fail("integer literal cannot be read", "unsigned integer", offset=start)
 
     def checked(self, depth):
         if depth > MAX_DEPTH:
@@ -238,14 +238,6 @@ def parse(text):
 _SUM, _PRODUCT, _POWER = 0, 1, 2
 
 
-def _level(node):
-    if isinstance(node, (Sum, Difference)):
-        return _SUM
-    if isinstance(node, Product):
-        return _PRODUCT
-    return _POWER
-
-
 def render(node):
     """Canonical text for an expression; parse(render(x)) reproduces x.
 
@@ -310,15 +302,15 @@ def degree(node, half_dim):
     raise TypeError(f"not a class expression node: {node!r}")
 
 
-def restrict(node, point, rank=None):
+def restrict(node, point, rank):
     """Evaluate an expression at a fixed point, into the coefficient ring.
 
     c_k becomes the k-th elementary symmetric polynomial of the tangent
     weights (0 for k above the number of weights), e becomes the point's
     equivariant Euler class, literals become constants.  Evaluation is a
-    ring homomorphism.
+    ring homomorphism into the rank-`rank` polynomial ring.
     """
-    rank = _point_rank(point, rank)
+    _check_nonzero_weights(point)
     symmetric = _elementary_symmetric([w.components for w in point.weights], rank)
 
     def evaluate(n):

@@ -105,8 +105,9 @@ def document_to_problem(doc):
     """Decode a problem document (strict: integers, strings, arrays only)."""
     if not isinstance(doc, dict):
         raise DocumentError("problem document must be a JSON object")
-    if doc.get("format", DOCUMENT_FORMAT) != DOCUMENT_FORMAT:
-        raise DocumentError(f"unsupported format {doc.get('format')!r}")
+    version = doc.get("format", DOCUMENT_FORMAT)
+    if not _is_int(version) or version != DOCUMENT_FORMAT:
+        raise DocumentError(f"unsupported format {version!r}")
     for key in ("torus_rank", "half_dim"):
         if not _is_int(doc.get(key)):
             raise DocumentError(f"{key} must be an integer")
@@ -142,8 +143,10 @@ def load_problem_file(path):
             doc = json.load(handle)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError:  # an integer with more digits than int() reads
+        raise DocumentError(f"{path} has an integer literal that cannot be read") from None
     except RecursionError:
         raise DocumentError(f"{path} nests too deeply to read") from None
     return document_to_problem(doc)
@@ -165,7 +168,7 @@ def _per_point_entries(per_point_terms):
     return [{"name": label, **_fraction_entry(term)} for label, term in per_point_terms]
 
 
-def result_document(result, include_per_point, expr_text=None):
+def result_document(result, include_per_point, expr_text):
     doc = {
         "format": DOCUMENT_FORMAT,
         "status": "polynomial",
@@ -178,9 +181,8 @@ def result_document(result, include_per_point, expr_text=None):
             }
             for exponents, coefficient in result.value.sorted_terms()
         ],
+        "expr": expr_text,
     }
-    if expr_text is not None:
-        doc["expr"] = expr_text
     if include_per_point:
         doc["per_point"] = _per_point_entries(result.per_point_terms)
     return doc
@@ -208,7 +210,7 @@ def _print_terms(per_point_terms):
 
 def _fail(args, code, message):
     sys.stderr.write(f"error: {message}\n")
-    if getattr(args, "as_json", False):
+    if args.as_json:
         _emit({"format": DOCUMENT_FORMAT, "status": "error", "error": message})
     return code
 

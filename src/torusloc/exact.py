@@ -136,12 +136,12 @@ class Polynomial:
 
     __slots__ = ("rank", "_terms")
 
-    def __init__(self, rank, terms=None):
+    def __init__(self, rank, terms):
         rank = operator.index(rank)
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         clean = {}
-        for exponents, coefficient in (terms or {}).items():
+        for exponents, coefficient in terms.items():
             exponents = tuple(operator.index(e) for e in exponents)
             if len(exponents) != rank:
                 raise ValueError(
@@ -151,6 +151,8 @@ class Polynomial:
                 raise ValueError(f"negative exponent in {exponents}")
             if any(e > MAX_EXPONENT for e in exponents):
                 raise ValueError(f"exponent above {MAX_EXPONENT} in {exponents}")
+            if not isinstance(coefficient, (int, Fraction)):
+                raise TypeError(f"coefficient {coefficient!r} is not an int or a Fraction")
             if type(coefficient) is not int:
                 coefficient = Fraction(coefficient)
             if coefficient:
@@ -458,19 +460,18 @@ class FactoredRational:
     """Rational function numerator / product of linear-form powers.
 
     Always stored fully cancelled: no denominator form divides the
-    numerator.  The denominator is a multiset of primitive LinearForms with
-    positive multiplicities; content and sign scalars extracted during
+    numerator.  The denominator is a dict {primitive LinearForm: positive
+    multiplicity}, a multiset; content and sign scalars extracted during
     normalization belong in the numerator's coefficients.
     """
 
     __slots__ = ("numerator", "denominator")
 
-    def __init__(self, numerator, denominator=()):
+    def __init__(self, numerator, denominator={}):  # read, never mutated
         if not isinstance(numerator, Polynomial):
             raise TypeError(f"numerator must be a Polynomial, got {type(numerator).__name__}")
         multiset = {}
-        items = denominator.items() if isinstance(denominator, dict) else denominator
-        for form, multiplicity in items:
+        for form, multiplicity in denominator.items():
             multiplicity = operator.index(multiplicity)
             if multiplicity < 0:
                 raise ValueError(f"negative multiplicity for {form}")

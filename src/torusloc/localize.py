@@ -29,7 +29,7 @@ from .exact import FactoredRational, NotPolynomialError
 class DegreeMismatch(Exception):
     """Expression degree incompatible with the manifold dimension."""
 
-    def __init__(self, expr_degree, dimension, requirement="=="):
+    def __init__(self, expr_degree, dimension, requirement):
         self.expr_degree = expr_degree
         self.dimension = dimension
         super().__init__(

@@ -227,11 +227,12 @@ def test_criterion_7_arithmetic_property_suite():
 
     rng = random.Random(577215)
     for _ in range(cases):
-        point = random_point(rng, rng.randint(1, 2), rng.randint(1, 3))
+        rank = rng.randint(1, 2)
+        point = random_point(rng, rank, rng.randint(1, 3))
         a = random_expr(rng, depth=2)
         b = random_expr(rng, depth=2)
-        assert restrict(Sum(a, b), point) == restrict(a, point) + restrict(b, point)
-        assert restrict(Product(a, b), point) == restrict(a, point) * restrict(b, point)
+        assert restrict(Sum(a, b), point, rank) == restrict(a, point, rank) + restrict(b, point, rank)
+        assert restrict(Product(a, b), point, rank) == restrict(a, point, rank) * restrict(b, point, rank)
 
 
 def test_criterion_8_products():

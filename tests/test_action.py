@@ -63,26 +63,24 @@ def test_validate_reports_every_violation():
 
 def test_euler_class_is_weight_product():
     point = FixedPoint("p", (Weight((1,)), Weight((2,)), Weight((3,))), 1)
-    assert equivariant_euler(point) == 6 * u ** 3
+    assert equivariant_euler(point, 1) == 6 * u ** 3
 
 
 def test_euler_class_south_pole():
     south = sphere_rotation().points[1]
-    assert equivariant_euler(south) == -u
+    assert equivariant_euler(south, 1) == -u
 
 
 def test_euler_class_rank2():
     point = FixedPoint("p", (Weight((1, 0)), Weight((0, 1))), 1)
     u1 = Polynomial.variable(2, 0)
     u2 = Polynomial.variable(2, 1)
-    assert equivariant_euler(point) == u1 * u2
+    assert equivariant_euler(point, 2) == u1 * u2
 
 
 def test_euler_class_half_dim_zero_needs_rank():
     point = FixedPoint("p", (), -1)
-    with pytest.raises(ValueError):
-        equivariant_euler(point)
-    assert equivariant_euler(point, rank=2) == Polynomial.constant(2, -1)
+    assert equivariant_euler(point, 2) == Polynomial.constant(2, -1)
 
 
 def test_euler_degree_and_weight_sign_flips():
@@ -92,7 +90,7 @@ def test_euler_degree_and_weight_sign_flips():
         rank = rng.randint(1, 3)
         n = rng.randint(1, 3)
         point = random_point(rng, rank, n)
-        euler = equivariant_euler(point)
+        euler = equivariant_euler(point, rank)
         assert not euler.is_zero
         assert cohomological_degrees(euler) == {2 * n}
         k = rng.randrange(n)
@@ -100,7 +98,7 @@ def test_euler_degree_and_weight_sign_flips():
             w.negated() if i == k else w for i, w in enumerate(point.weights)
         )
         flipped = FixedPoint(point.label, flipped_weights, -point.sign)
-        assert equivariant_euler(flipped) == euler
+        assert equivariant_euler(flipped, rank) == euler
 
 
 def test_euler_commutes_with_reduction():
@@ -116,7 +114,7 @@ def test_euler_commutes_with_reduction():
             if all(w.pair(candidate) != 0 for w in point.weights):
                 xi = candidate
         reduced = circle_reduce(problem, xi)
-        assert specialize(equivariant_euler(point), xi) == equivariant_euler(reduced.points[0])
+        assert specialize(equivariant_euler(point, rank), xi) == equivariant_euler(reduced.points[0], 1)
 
 
 def test_circle_reduce_cp1():

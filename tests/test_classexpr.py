@@ -142,7 +142,7 @@ def test_long_sum_evaluates():
     expr = parse(" + ".join(["c2"] * 500))
     point = FixedPoint("p", (Weight((1, 0)), Weight((0, 1)), Weight((1, 1))), 1)
     assert degree(expr, 3) == 4
-    assert restrict(expr, point) == 500 * restrict(ChernClass(2), point)
+    assert restrict(expr, point, 2) == 500 * restrict(ChernClass(2), point, 2)
     assert render(expr) == " + ".join(["c2"] * 500)
 
 
@@ -206,27 +206,28 @@ POINT_123 = FixedPoint("p", (Weight((1,)), Weight((2,)), Weight((3,))), 1)
 
 
 def test_restrict_c1_is_weight_sum():
-    assert restrict(parse("c1"), POINT_123) == 6 * u
+    assert restrict(parse("c1"), POINT_123, 1) == 6 * u
 
 
 def test_restrict_c2_elementary_symmetric():
     # e2(u, 2u, 3u) = (1*2 + 1*3 + 2*3) u^2 = 11 u^2
-    assert restrict(parse("c2"), POINT_123) == 11 * u ** 2
+    assert restrict(parse("c2"), POINT_123, 1) == 11 * u ** 2
 
 
 def test_restrict_euler_matches_equivariant_euler():
     point = FixedPoint("p", (Weight((1, 0)), Weight((0, 1))), 1)
     u1 = Polynomial.variable(2, 0)
     u2 = Polynomial.variable(2, 1)
-    assert restrict(parse("e"), point) == u1 * u2
+    assert restrict(parse("e"), point, 2) == u1 * u2
     rng = random.Random(23)
     for _ in range(50):
-        point = random_point(rng, rng.randint(1, 3), rng.randint(1, 3))
-        assert restrict(EulerClass(), point) == equivariant_euler(point)
+        rank = rng.randint(1, 3)
+        point = random_point(rng, rank, rng.randint(1, 3))
+        assert restrict(EulerClass(), point, rank) == equivariant_euler(point, rank)
 
 
 def test_restrict_chern_above_rank_vanishes():
-    assert restrict(parse("c4"), POINT_123).is_zero
+    assert restrict(parse("c4"), POINT_123, 1).is_zero
     # but its degree is still 2k, so inhomogeneity is caught
     with pytest.raises(InhomogeneousExpression):
         degree(parse("c4 + c1"), 3)
@@ -236,30 +237,32 @@ def test_restrict_rejects_zero_weight():
     point = FixedPoint("z", (Weight((1, 0)), Weight((0, 0))), 1)
     for text in ("c1", "e", "1"):
         with pytest.raises(ValueError, match="zero weight at point 'z'"):
-            restrict(parse(text), point)
+            restrict(parse(text), point, 2)
 
 
 def test_restrict_is_ring_homomorphism():
     rng = random.Random(31)
     for _ in range(100):
-        point = random_point(rng, rng.randint(1, 2), rng.randint(1, 3))
+        rank = rng.randint(1, 2)
+        point = random_point(rng, rank, rng.randint(1, 3))
         a = random_expr(rng, depth=2)
         b = random_expr(rng, depth=2)
-        assert restrict(Sum(a, b), point) == restrict(a, point) + restrict(b, point)
-        assert restrict(Product(a, b), point) == restrict(a, point) * restrict(b, point)
+        assert restrict(Sum(a, b), point, rank) == restrict(a, point, rank) + restrict(b, point, rank)
+        assert restrict(Product(a, b), point, rank) == restrict(a, point, rank) * restrict(b, point, rank)
 
 
 def test_restrict_homogeneous_degree():
     rng = random.Random(37)
     for _ in range(80):
         n = rng.randint(1, 3)
-        point = random_point(rng, rng.randint(1, 2), n)
+        rank = rng.randint(1, 2)
+        point = random_point(rng, rank, n)
         expr = random_expr(rng, depth=2)
         try:
             d = degree(expr, n)
         except InhomogeneousExpression:
             continue
-        value = restrict(expr, point)
+        value = restrict(expr, point, rank)
         if value:
             assert cohomological_degrees(value) == {d}
 
@@ -275,4 +278,4 @@ def test_newton_identity_power_sum():
         for w in point.weights:
             form, scalar = w.primitive()
             power_sum = power_sum + (scalar * form.as_polynomial()) ** 2
-        assert restrict(parse("c1^2 - 2*c2"), point) == power_sum
+        assert restrict(parse("c1^2 - 2*c2"), point, rank) == power_sum

@@ -281,6 +281,33 @@ def test_malformed_file_exit_2(capsys, tmp_path):
     assert "JSON" in err
 
 
+def test_non_utf8_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format": 1, "torus_rank": 1, "half_dim": 0, "fixed_points": "\xff"}')
+    code, out, err = run(capsys, "euler", "--file", str(path))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith(f"error: {path} is not valid JSON: ")
+    assert err.count("\n") == 1
+
+
+@needs_digit_limit
+def test_overlong_integer_in_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"format": 1, "torus_rank": ' + "1" * (DIGIT_LIMIT + 1) + "}")
+    code, out, err = run(capsys, "euler", "--file", str(path))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == f"error: {path} has an integer literal that cannot be read\n"
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+def test_format_must_be_the_integer_1(capsys, tmp_path, version):
+    path = tmp_path / "format.json"
+    path.write_text(json.dumps({**SINGLE_POINT, "format": version}))
+    code, out, err = run(capsys, "euler", "--file", str(path))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == f"error: unsupported format {version!r}\n"
+
+
 def test_non_generic_xi_exit_2(capsys):
     code, _, err = run(capsys, "euler", "--space", "cpn:1", "--xi", "1,1")
     assert code == EXIT_INVALID

@@ -1,6 +1,7 @@
 """Polynomial and factored-rational arithmetic."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -467,9 +468,20 @@ def test_integral_fraction_stored_as_int():
 
 
 def test_no_float_or_bool_coefficients():
-    p = Polynomial(1, {(0,): True, (1,): 0.5})
+    p = Polynomial(1, {(0,): True})
     assert type(p.terms[(0,)]) is int
-    assert p.terms[(1,)] == Fraction(1, 2) and type(p.terms[(1,)]) is Fraction
+    with pytest.raises(TypeError):
+        Polynomial(1, {(1,): 0.5})
+
+
+@pytest.mark.parametrize("coefficient", [0.1, "1/2", Decimal("0.5")])
+def test_constructor_takes_what_arithmetic_takes(coefficient):
+    # a float, a string or a Decimal is refused by the constructor, as it is
+    # by arithmetic, instead of being read through Fraction()
+    with pytest.raises(TypeError):
+        Polynomial(1, {(1,): coefficient})
+    with pytest.raises(TypeError):
+        u * coefficient
 
 
 def test_halves_sum_to_an_int():

@@ -23,8 +23,8 @@ def test_sphere_structure():
     assert sphere.rank == 1 and sphere.half_dim == 1
     north, south = sphere.points
     u = Polynomial.variable(1, 0)
-    assert equivariant_euler(north) == u
-    assert equivariant_euler(south) == -u
+    assert equivariant_euler(north, 1) == u
+    assert equivariant_euler(south, 1) == -u
 
 
 def test_sphere_vanishing_and_euler():
