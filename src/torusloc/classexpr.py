@@ -134,10 +134,13 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.fail(f"unexpected {self.found()}", "unsigned integer")
+        literal = self.text[start:self.pos]
         try:
-            return int(self.text[start:self.pos])
+            if literal.isascii():  # int() would also read other scripts' digits
+                return int(literal)
         except ValueError:  # more digits than int() reads, or a digit it refuses
-            self.fail("integer literal cannot be read", "unsigned integer", offset=start)
+            pass
+        self.fail("integer literal cannot be read", "unsigned integer", offset=start)
 
     def checked(self, depth):
         if depth > MAX_DEPTH:

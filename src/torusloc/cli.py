@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .action import (
@@ -43,6 +44,10 @@ EXIT_DEGREE = 4
 EXIT_INTERNAL = 5
 
 DOCUMENT_FORMAT = 1
+
+# ASCII only: int() alone also reads '_' separators and other scripts' digits
+_DIGITS = re.compile("[0-9]*")
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 class DocumentError(Exception):
@@ -73,13 +78,11 @@ def _parse_space_at(text, pos):
     if text.startswith("sphere", pos):
         return sphere_rotation(), pos + len("sphere")
     if text.startswith("cpn:", pos):
-        pos += len("cpn:")
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
+        start = pos + len("cpn:")
+        pos = _DIGITS.match(text, start).end()
         try:
             n = int(text[start:pos])
-        except ValueError:  # no digits, more than int() reads, or a digit it refuses
+        except ValueError:  # no digits, or more than int() reads
             raise DocumentError("cpn: needs a positive integer, e.g. cpn:2") from None
         if n < 1:
             raise DocumentError(f"cpn:{n} is not defined; need n >= 1")
@@ -139,7 +142,13 @@ def document_to_problem(doc):
 
 def load_problem_file(path):
     try:
-        with open(path, encoding="utf-8") as handle:
+        handle = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # the path itself is malformed, e.g. it holds a NUL
+        raise DocumentError(f"cannot open {path!r}: {exc}") from None
+    try:
+        with handle:
             doc = json.load(handle)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
@@ -317,10 +326,13 @@ def _build_parser():
 
 
 def _parse_direction(text):
+    parts = text.split(",")
     try:
-        return tuple(int(part.strip()) for part in text.split(","))
-    except ValueError:
-        raise DocumentError(f"--xi must be comma-separated integers, got {text!r}") from None
+        if all(_INTEGER.fullmatch(part) for part in parts):
+            return tuple(int(part) for part in parts)
+    except ValueError:  # more digits than int() reads
+        pass
+    raise DocumentError(f"--xi must be comma-separated integers, got {text!r}")
 
 
 def main(argv=None):

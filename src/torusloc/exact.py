@@ -7,7 +7,10 @@ exact, equality is decidable, and the common all-integer case never pays
 for rational arithmetic.  Rational functions are kept with their denominators
 factored into primitive integer linear forms (the only denominators that
 arise from fixed-point data), which reduces simplification to repeated exact
-division by linear forms -- no general multivariate GCD is ever needed.
+division by linear forms -- no general multivariate GCD is ever needed.  A
+sum a/D1 + b/D2 of reduced fractions is divided only by the forms of equal
+multiplicity in D1 and D2: a form L with more powers in D1 divides the lifted b
+but not the lifted a (L is prime and coprime to the other forms), so not the sum.
 
 Monomials are keyed by one packed int (the packed exponent vectors of
 Monagan and Pearce): the exponent of u_i sits in its own 32-bit field, u1 in
@@ -456,6 +459,29 @@ def _cancel_coordinate(p, index, multiplicity):
     return Polynomial._raw(p.rank, {key - drop: c for key, c in p._terms.items()}), k
 
 
+def _cancel(numerator, multiset, forms):
+    # divide each of `forms` out of numerator / multiset (in place) as often as
+    # it divides; forms are prime, so any order gives the unique reduced result
+    for form in forms:
+        coefficients = form.coefficients
+        if coefficients.count(0) == len(coefficients) - 1:
+            # the form is a coordinate u_j: one key shift cancels it
+            numerator, cancelled = _cancel_coordinate(
+                numerator, coefficients.index(1), multiset[form]
+            )
+            multiset[form] -= cancelled
+        else:
+            while multiset[form] > 0:
+                divided = linear_divide(numerator, form)
+                if divided is None:
+                    break
+                numerator = divided
+                multiset[form] -= 1
+        if multiset[form] == 0:
+            del multiset[form]
+    return numerator
+
+
 class FactoredRational:
     """Rational function numerator / product of linear-form powers.
 
@@ -481,30 +507,19 @@ class FactoredRational:
                 )
             if multiplicity:
                 multiset[form] = multiset.get(form, 0) + multiplicity
-        # full cancellation; linear forms are prime, so per-form greedy
-        # division reaches the unique reduced representative in any order
-        for form in list(multiset):
-            coefficients = form.coefficients
-            if coefficients.count(0) == len(coefficients) - 1:
-                # the form is a coordinate u_j: one key shift cancels it
-                numerator, cancelled = _cancel_coordinate(
-                    numerator, coefficients.index(1), multiset[form]
-                )
-                multiset[form] -= cancelled
-            else:
-                while multiset[form] > 0:
-                    divided = linear_divide(numerator, form)
-                    if divided is None:
-                        break
-                    numerator = divided
-                    multiset[form] -= 1
-            if multiset[form] == 0:
-                del multiset[form]
-        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "numerator", _cancel(numerator, multiset, list(multiset)))
         object.__setattr__(self, "denominator", multiset)
 
     def __setattr__(self, name, value):
         raise AttributeError("FactoredRational is immutable")
+
+    @classmethod
+    def _raw(cls, numerator, denominator):
+        # internal fast path: numerator / denominator is already fully cancelled
+        self = object.__new__(cls)
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+        return self
 
     @classmethod
     def zero(cls, rank):
@@ -534,13 +549,13 @@ class FactoredRational:
                 left = _times_form(left, form.coefficients)
             for _ in range(multiplicity - other.denominator.get(form, 0)):
                 right = _times_form(right, form.coefficients)
-        return FactoredRational(left + right, lcm)
+        # a form of unequal multiplicities divides one lifted numerator but not
+        # the other (operands are reduced), so not the sum: only `shared` can cancel
+        shared = [f for f, m in self.denominator.items() if other.denominator.get(f) == m]
+        return FactoredRational._raw(_cancel(left + right, lcm, shared), lcm)
 
     def __neg__(self):
-        negated = object.__new__(FactoredRational)
-        object.__setattr__(negated, "numerator", -self.numerator)
-        object.__setattr__(negated, "denominator", dict(self.denominator))
-        return negated
+        return FactoredRational._raw(-self.numerator, dict(self.denominator))
 
     def __sub__(self, other):
         if not isinstance(other, FactoredRational):

@@ -231,6 +231,41 @@ def test_digits_int_refuses_exit_cleanly(capsys):
     assert err == "error: cpn: needs a positive integer, e.g. cpn:2\n"
 
 
+# '١' (Arabic-Indic one), '٣' (three) and '２' (fullwidth two) pass str.isdigit
+# and int() reads them; only ASCII digits make a number
+
+@pytest.mark.parametrize(
+    "expr, offset",
+    [("c١^2", 1), ("١*c1", 0), ("c1^١", 3), ("c1 ١", 3), ("c1 1١", 3)],
+)
+def test_non_ascii_digits_in_expression_exit_1(capsys, expr, offset):
+    code, out, err = run(capsys, "integrate", "--space", "cpn:2", "--expr", expr)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert f"offset {offset}: integer literal cannot be read" in err
+
+
+def test_non_ascii_digits_in_cpn_exit_2(capsys):
+    code, out, err = run(capsys, "euler", "--space", "cpn:٣")
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "error: cpn: needs a positive integer, e.g. cpn:2\n"
+
+
+@pytest.mark.parametrize("xi", ["1_0, 2", "10, ２", "1_0, ２", "+-1, 2", "1 0, 2"])
+def test_xi_takes_only_ascii_integers_exit_2(capsys, xi):
+    code, out, err = run(
+        capsys, "integrate", "--space", "cpn:1", "--expr", "c1^1", "--top", "--xi", xi
+    )
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == f"error: --xi must be comma-separated integers, got {xi!r}\n"
+
+
+def test_xi_keeps_signs_and_spaces(capsys):
+    code, out, _ = run(
+        capsys, "integrate", "--space", "cpn:1", "--expr", "c1^1", "--top", "--xi", " +1 , -2 "
+    )
+    assert (code, out) == (EXIT_OK, "2\n")
+
+
 def test_deeply_nested_file_exit_2(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
@@ -297,6 +332,13 @@ def test_overlong_integer_in_file_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "euler", "--file", str(path))
     assert (code, out) == (EXIT_INVALID, "")
     assert err == f"error: {path} has an integer literal that cannot be read\n"
+
+
+def test_path_with_nul_exit_2_names_the_path(capsys):
+    # open() raises ValueError for the path, not the file's content
+    code, out, err = run(capsys, "euler", "--file", "a\0b")
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "error: cannot open 'a\\x00b': embedded null byte\n"
 
 
 @pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])

@@ -623,3 +623,94 @@ def test_frac_add_randomized_batch():
         a = random_fraction(rng, rank)
         b = random_fraction(rng, rank)
         assert a + b == b + a
+
+
+# ---------------------------------------------------------------------------
+# a sum divides only by the forms of equal multiplicity in both operands
+
+def lift(p, multiset):
+    # p times every form of the multiset, through Polynomial multiplication
+    for form, multiplicity in multiset.items():
+        p = p * form.as_polynomial() ** multiplicity
+    return p
+
+
+def sum_cancelled_everywhere(a, b):
+    # the reference: lift both numerators to the LCM and let the constructor
+    # try every form of it
+    lcm = dict(a.denominator)
+    for form, multiplicity in b.denominator.items():
+        lcm[form] = max(lcm.get(form, 0), multiplicity)
+    left = lift(a.numerator, {f: m - a.denominator.get(f, 0) for f, m in lcm.items()})
+    right = lift(b.numerator, {f: m - b.denominator.get(f, 0) for f, m in lcm.items()})
+    return FactoredRational(left + right, lcm)
+
+
+def denominator_forms(rank):
+    coordinates = st.integers(0, rank - 1).map(
+        lambda j: LinearForm(tuple(int(i == j) for i in range(rank)))
+    )
+    return st.one_of(linear_forms(rank), coordinates)
+
+
+def denominators(rank):
+    return st.dictionaries(denominator_forms(rank), st.integers(1, 2), max_size=2)
+
+
+def cancelling_pairs(rank):
+    # (a, b, a + b) with b = (q*(D/D_q) - a's numerator lifted to D) / D for
+    # D containing a's denominator, so the sum q/D_q cancels forms of D the
+    # operands share; q = 0 makes a zero sum
+    def build(data):
+        a, extra, q, kept = data
+        big = dict(a.denominator)
+        for form, multiplicity in extra.items():
+            big[form] = big.get(form, 0) + multiplicity
+        small = {f: min(m, kept.get(f, 0)) for f, m in big.items()}
+        numerator = lift(q, {f: m - small[f] for f, m in big.items()}) - lift(
+            a.numerator, {f: m - a.denominator.get(f, 0) for f, m in big.items()}
+        )
+        return a, FactoredRational(numerator, big), FactoredRational(q, small)
+
+    return st.tuples(
+        fractions_(rank), denominators(rank), polynomials(rank), denominators(rank)
+    ).map(build)
+
+
+def frac_pairs(rank):
+    independent = st.tuples(fractions_(rank), fractions_(rank)).map(lambda p: (*p, None))
+    return st.one_of(independent, cancelling_pairs(rank))
+
+
+ZERO_SUM_OPERAND = FactoredRational(
+    u1 + 3 * u2, {LinearForm((1, -1)): 2, LinearForm((2, 1)): 1, LinearForm((0, 1)): 1}
+)
+
+
+@given(st.integers(1, 3).flatmap(frac_pairs))
+@example((ZERO_SUM_OPERAND, -ZERO_SUM_OPERAND, FactoredRational.zero(2)))
+@settings(max_examples=150, deadline=None)
+def test_frac_add_matches_full_cancellation(data):
+    a, b, expected = data
+    total = a + b
+    assert total == sum_cancelled_everywhere(a, b)
+    if expected is not None:
+        assert total == expected
+
+
+def test_frac_add_divides_by_no_form_of_unequal_multiplicity(monkeypatch):
+    # L occurs twice in a and once in b, M only in a, N only in b: none of
+    # them can divide the sum, so no division is tried
+    L, M, N = LinearForm((1, 1)), LinearForm((1, -1)), LinearForm((1, 2))
+    a = FactoredRational(u1 + 3, {L: 2, M: 1})
+    b = FactoredRational(u2 - 1, {L: 1, N: 1})
+    expected = sum_cancelled_everywhere(a, b)
+    calls = []
+
+    def counting(p, form):
+        calls.append(form)
+        return linear_divide(p, form)
+
+    monkeypatch.setattr("torusloc.exact.linear_divide", counting)
+    assert a + b == expected
+    assert calls == []
