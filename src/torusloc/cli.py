@@ -11,14 +11,16 @@ canonical polynomial text, or as a JSON result document with --json.
 All results go to stdout, diagnostics to stderr.
 
 Exit codes: 0 success, 1 expression parse error, 2 invalid problem data or
-direction, 3 localization sum is not a polynomial (or vanishing fails),
-4 degree mismatch, 5 internal error (an internal consistency check failed).
+direction, 3 localization sum is not a polynomial, 4 degree mismatch,
+5 internal error (an internal consistency check failed), 141 stdout was
+closed before all output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -227,13 +229,12 @@ def _fail(args, code, message):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _report(args, result, expr_text, line, terms=False):
-    terms = terms or args.terms
+def _report(args, result, expr_text, line):
     if args.as_json:
-        _emit(result_document(result, terms, expr_text))
+        _emit(result_document(result, args.terms, expr_text))
     else:
         sys.stdout.write(f"{line}\n")
-        if terms:
+        if args.terms:
             _print_terms(result.per_point_terms)
 
 
@@ -254,16 +255,11 @@ def _cmd_euler(args, problem):
 def _cmd_check(args, problem):
     expr = parse(args.expr)
     result = localize(problem, expr)
-    text = render(expr)
-    below = f"degree {result.class_degree} < dimension {result.dimension}"
-    if result.class_degree >= result.dimension:
-        _report(args, result, text, f"ok: polynomial, value = {result.value}")
-    elif result.value.is_zero:
-        _report(args, result, text, f"ok: {below}, sum is 0")
+    if result.class_degree < result.dimension:
+        line = f"ok: degree {result.class_degree} < dimension {result.dimension}, sum is 0"
     else:
-        sys.stderr.write(f"error: {below} but the sum is nonzero\n")
-        _report(args, result, text, f"counterexample: {result.value}", terms=True)
-        return EXIT_NOT_POLYNOMIAL
+        line = f"ok: polynomial, value = {result.value}"
+    _report(args, result, render(expr), line)
     return EXIT_OK
 
 
@@ -337,6 +333,17 @@ def _parse_direction(text):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    try:
+        code = _execute(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: send the rest to devnull so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a producer killed by it
+    return code
+
+
+def _execute(args):
     try:
         if args.space is not None:
             problem = parse_space(args.space)

@@ -183,14 +183,6 @@ class Polynomial:
     def constant(cls, rank, value):
         return cls(rank, {(0,) * rank: value})
 
-    @classmethod
-    def variable(cls, rank, index):
-        """The generator u_{index+1} (0-based index)."""
-        if not 0 <= index < rank:
-            raise ValueError(f"variable index {index} out of range for rank {rank}")
-        exponents = tuple(1 if i == index else 0 for i in range(rank))
-        return cls(rank, {exponents: 1})
-
     @property
     def terms(self):
         """{exponent tuple: coefficient}, decoded afresh on every access."""
@@ -506,7 +498,7 @@ class FactoredRational:
                     f"form rank {form.rank} vs numerator rank {numerator.rank}"
                 )
             if multiplicity:
-                multiset[form] = multiset.get(form, 0) + multiplicity
+                multiset[form] = multiplicity
         object.__setattr__(self, "numerator", _cancel(numerator, multiset, list(multiset)))
         object.__setattr__(self, "denominator", multiset)
 

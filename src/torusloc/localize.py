@@ -11,7 +11,7 @@ and is reported with every per-point term attached.
 The rules built on the sum live here once, not in the command line:
 the degree gates (== dim M for `localize_top`, < dim M for
 `check_vanishing`), checked before any point term is evaluated; the
-assertion that a top-degree value is constant; and the check that the Euler
+degree law, checked by `localize` on every value; and the check that the Euler
 characteristic equals the fixed-point count (`localize_euler`).
 """
 
@@ -44,8 +44,8 @@ class LocalizationResult:
 
     `value` is the exact sum of `per_point_terms` (already certified to be a
     polynomial); `class_degree` is the expression's cohomological degree and
-    `dimension` = 2n.  The value is 0 whenever class_degree < dimension, and
-    a constant when class_degree == dimension.
+    `dimension` = 2n.  By the degree law, the value is homogeneous of degree
+    (class_degree - dimension)/2: 0 below top degree, a constant at top.
     """
 
     value: object  # Polynomial of rank l
@@ -76,7 +76,8 @@ def localize(problem, expr):
     `expr` may be a ClassExpr or expression text.  Terms are added pairwise
     in input order.  Raises NotPolynomialError with per-point terms attached
     when the denominators fail to cancel, and InhomogeneousExpression for an
-    expression without a single degree.
+    expression without a single degree.  It alone checks the degree law, and
+    raises AssertionError for a term not of degree (class_degree - dimension)/2.
     """
     validate(problem)
     expr = _as_expr(expr)
@@ -91,6 +92,9 @@ def localize(problem, expr):
         value = total.as_polynomial()
     except NotPolynomialError:
         raise NotPolynomialError(total, per_point=terms) from None
+    d = (class_degree - problem.dimension) // 2
+    if any(sum(exponents) != d for exponents in value.terms):
+        raise AssertionError(f"localization value {value} is not homogeneous of degree {d}")
     return LocalizationResult(value, terms, class_degree, problem.dimension)
 
 
@@ -110,15 +114,9 @@ def localize_top(problem, expr):
     """localize() for a top-degree class; the value is a constant polynomial.
 
     Raises DegreeMismatch unless degree(expr) == dim M, before any point
-    term is evaluated.  A value that is not constant cannot come from an
-    exact sum of degree-0 terms, so it raises AssertionError.
+    term is evaluated.  The degree law makes the value constant.
     """
-    result = localize(problem, _require_degree(problem, expr, "=="))
-    if result.value.degree():  # None for 0, 0 for any other constant
-        raise AssertionError(
-            f"top-degree localization value is not constant: {result.value}"
-        )
-    return result
+    return localize(problem, _require_degree(problem, expr, "=="))
 
 
 def integrate_top(problem, expr):
@@ -155,9 +153,7 @@ def check_vanishing(problem, expr):
     """Certify that a below-top-degree class localizes to zero.
 
     Raises DegreeMismatch unless degree(expr) < dim M, before any point term
-    is evaluated.  Returns None when the sum cancels to 0, and the offending
-    nonzero polynomial otherwise (possible only for arithmetic bugs, never
-    for exact sums of homogeneous terms).
+    is evaluated.  Returns None: by the degree law the value is 0, and
+    `localize` raises AssertionError for any other value.
     """
-    value = localize(problem, _require_degree(problem, expr, "<")).value
-    return value or None
+    localize(problem, _require_degree(problem, expr, "<"))

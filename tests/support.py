@@ -22,6 +22,11 @@ from torusloc import (
 from torusloc.cli import DOCUMENT_FORMAT
 
 
+def variable(rank, index):
+    """The generator u_{index+1} (0-based index) of the rank-`rank` ring."""
+    return Polynomial(rank, {tuple(int(i == index) for i in range(rank)): 1})
+
+
 def random_exponents(rng, rank, max_degree):
     exponents = [0] * rank
     for _ in range(rng.randint(0, max_degree)):

@@ -17,9 +17,9 @@ from torusloc import (
 )
 from torusloc.spaces import projective_space, sphere_rotation
 
-from support import cohomological_degrees, random_point, specialize
+from support import cohomological_degrees, random_point, specialize, variable
 
-u = Polynomial.variable(1, 0)
+u = variable(1, 0)
 
 
 def test_validate_sphere_ok():
@@ -73,8 +73,8 @@ def test_euler_class_south_pole():
 
 def test_euler_class_rank2():
     point = FixedPoint("p", (Weight((1, 0)), Weight((0, 1))), 1)
-    u1 = Polynomial.variable(2, 0)
-    u2 = Polynomial.variable(2, 1)
+    u1 = variable(2, 0)
+    u2 = variable(2, 1)
     assert equivariant_euler(point, 2) == u1 * u2
 
 

@@ -27,9 +27,9 @@ from torusloc import (
 )
 from torusloc.classexpr import MAX_DEPTH
 
-from support import cohomological_degrees, random_expr, random_point
+from support import cohomological_degrees, random_expr, random_point, variable
 
-u = Polynomial.variable(1, 0)
+u = variable(1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +216,8 @@ def test_restrict_c2_elementary_symmetric():
 
 def test_restrict_euler_matches_equivariant_euler():
     point = FixedPoint("p", (Weight((1, 0)), Weight((0, 1))), 1)
-    u1 = Polynomial.variable(2, 0)
-    u2 = Polynomial.variable(2, 1)
+    u1 = variable(2, 0)
+    u2 = variable(2, 1)
     assert restrict(parse("e"), point, 2) == u1 * u2
     rng = random.Random(23)
     for _ in range(50):

@@ -22,7 +22,7 @@ from torusloc.cli import (
     parse_space,
 )
 
-from support import problem_to_document
+from support import problem_to_document, variable
 
 LOCALIZE = importlib.import_module("torusloc.localize")
 POINT_TERM = LOCALIZE.point_term
@@ -407,7 +407,11 @@ def doubled(point, expr, rank):
 
 
 def plus_u1(point, expr, rank):
-    return POINT_TERM(point, expr, rank) + FactoredRational(Polynomial.variable(rank, 0))
+    return POINT_TERM(point, expr, rank) + FactoredRational(variable(rank, 0))
+
+
+def plus_one(point, expr, rank):
+    return POINT_TERM(point, expr, rank) + FactoredRational(Polynomial.constant(rank, 1))
 
 
 def wrong_rank(point, expr, rank):
@@ -419,8 +423,12 @@ def wrong_rank(point, expr, rank):
     "sabotage, argv, message",
     [
         (doubled, ("euler", "--space", "cpn:2"), "does not match fixed point count 3"),
-        (plus_u1, ("integrate", "--space", "cpn:1", "--expr", "c1", "--top"), "is not constant"),
+        (plus_u1, ("integrate", "--space", "cpn:1", "--expr", "c1", "--top"), "is not homogeneous of degree 0"),
         (wrong_rank, ("integrate", "--space", "cpn:1", "--expr", "c1"), "rank 2 vs rank 3"),
+        # the degree law below and above top degree
+        (plus_u1, ("check", "--space", "cpn:2", "--expr", "c1"), "3*u1 is not homogeneous of degree -1"),
+        (plus_one, ("integrate", "--space", "cpn:1", "--expr", "c1^2"), "2 is not homogeneous of degree 1"),
+        (plus_one, ("check", "--space", "cpn:1", "--expr", "c1^2"), "2 is not homogeneous of degree 1"),
     ],
 )
 def test_internal_error_exit_5(capsys, monkeypatch, sabotage, argv, message, as_json):
@@ -502,3 +510,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_141_without_traceback(monkeypatch, unbuffered):
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torusloc", "integrate", "--space", "cpn:4", "--expr", "c1^9", "--terms"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader leaves before the first byte
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert not any(text in err.decode() for text in ("Traceback", "Exception ignored", "BrokenPipe"))

@@ -17,11 +17,12 @@ from support import (
     reference_linear_divide,
     reference_mul,
     specialize,
+    variable,
 )
 
-u = Polynomial.variable(1, 0)
-u1 = Polynomial.variable(2, 0)
-u2 = Polynomial.variable(2, 1)
+u = variable(1, 0)
+u1 = variable(2, 0)
+u2 = variable(2, 1)
 U = LinearForm((1,))
 
 
@@ -585,7 +586,7 @@ def test_coordinate_form_zero_numerator_clears_denominator():
 
 
 def test_coordinate_form_inside_rank3_fraction():
-    v1, v2, v3 = (Polynomial.variable(3, i) for i in range(3))
+    v1, v2, v3 = (variable(3, i) for i in range(3))
     numerator = v1 * v2 ** 2 * v3 + v2 ** 3 * v3 ** 2 - v1 ** 2 * v2 ** 4 * v3
     u2_form, u3_form, other = LinearForm((0, 1, 0)), LinearForm((0, 0, 1)), LinearForm((1, 1, 0))
     fraction = FactoredRational(numerator, {u2_form: 3, u3_form: 1, other: 1})

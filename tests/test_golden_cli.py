@@ -40,6 +40,10 @@ CASES = [
     # inconsistent data: the sum does not cancel, exit 3
     ("integrate", "--file", FLIPPED, "--expr", "c1^2", "--top"),
     ("integrate", "--file", FLIPPED, "--expr", "c1^2", "--top", "--json"),
+    # check below and above top degree, and on inconsistent data
+    ("check", "--space", "cpn:2", "--expr", "c1", "--json", "--terms"),
+    ("check", "--space", "cpn:1", "--expr", "c1^3"),
+    ("check", "--file", FLIPPED, "--expr", "c1^2"),
 ]
 
 

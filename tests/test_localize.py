@@ -28,7 +28,7 @@ from torusloc import (
 from torusloc.localize import point_term
 from torusloc.spaces import projective_space, product, sphere_rotation
 
-from support import cohomological_degrees, random_homogeneous_expr, specialize
+from support import cohomological_degrees, random_homogeneous_expr, specialize, variable
 
 
 def hopf_index_sum(indices):
@@ -96,6 +96,17 @@ def test_check_vanishing():
     assert check_vanishing(projective_space(3), "c1^2") is None
     with pytest.raises(DegreeMismatch):
         check_vanishing(projective_space(2), "c2")
+
+
+def test_check_vanishing_raises_on_a_nonzero_value(monkeypatch):
+    localize_module = importlib.import_module("torusloc.localize")
+
+    def plus_u1(point, expr, rank):
+        return point_term(point, expr, rank) + FactoredRational(variable(rank, 0))
+
+    monkeypatch.setattr(localize_module, "point_term", plus_u1)
+    with pytest.raises(AssertionError, match=r"3\*u1 is not homogeneous of degree -1"):
+        check_vanishing(projective_space(2), "c1")
 
 
 def test_degree_gate_runs_before_evaluation(monkeypatch):

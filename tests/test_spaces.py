@@ -3,7 +3,6 @@
 import pytest
 
 from torusloc import (
-    Polynomial,
     Weight,
     circle_reduce,
     equivariant_euler,
@@ -14,6 +13,7 @@ from torusloc import (
 )
 from torusloc.spaces import projective_space, product, sphere_rotation
 
+from support import variable
 from test_spaces_oracle import chern_number_oracle, degree_n_monomials
 
 
@@ -22,7 +22,7 @@ def test_sphere_structure():
     validate(sphere)
     assert sphere.rank == 1 and sphere.half_dim == 1
     north, south = sphere.points
-    u = Polynomial.variable(1, 0)
+    u = variable(1, 0)
     assert equivariant_euler(north, 1) == u
     assert equivariant_euler(south, 1) == -u
 
