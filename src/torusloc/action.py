@@ -47,9 +47,7 @@ class Weight:
     components: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "components", tuple(operator.index(c) for c in self.components)
-        )
+        object.__setattr__(self, "components", tuple(map(operator.index, self.components)))
 
     @property
     def rank(self):
@@ -69,7 +67,7 @@ class Weight:
             raise ValueError(
                 f"direction has length {len(direction)}, weight has rank {self.rank}"
             )
-        return sum(c * x for c, x in zip(self.components, direction))
+        return sum(map(operator.mul, self.components, direction))
 
     def negated(self):
         return Weight(tuple(-c for c in self.components))
@@ -88,7 +86,7 @@ class FixedPoint:
     sign: int
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(_as_weight(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(map(_as_weight, self.weights)))
         object.__setattr__(self, "sign", operator.index(self.sign))
 
 

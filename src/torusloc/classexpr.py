@@ -314,15 +314,23 @@ def restrict(node, point, rank):
     ring homomorphism into the rank-`rank` polynomial ring.
     """
     _check_nonzero_weights(point)
-    symmetric = _elementary_symmetric([w.components for w in point.weights], rank)
+    # only the Chern classes the expression names are built: c_0 .. c_top
+    top, stack = 0, [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, ChernClass):
+            top = max(top, n.index)
+        elif isinstance(n, Power):
+            stack.append(n.base)
+        elif isinstance(n, (Sum, Difference, Product)):
+            stack += (n.left, n.right)
+    symmetric = _elementary_symmetric([w.components for w in point.weights], rank, top)
 
     def evaluate(n):
         if isinstance(n, IntegerLiteral):
             return Polynomial.constant(rank, n.value)
         if isinstance(n, ChernClass):
-            if n.index >= len(symmetric):
-                return Polynomial.zero(rank)
-            return symmetric[n.index]
+            return symmetric[n.index] if n.index < len(symmetric) else Polynomial.zero(rank)
         if isinstance(n, EulerClass):
             return equivariant_euler(point, rank)
         if isinstance(n, Sum):

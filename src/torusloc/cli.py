@@ -11,9 +11,9 @@ canonical polynomial text, or as a JSON result document with --json.
 All results go to stdout, diagnostics to stderr.
 
 Exit codes: 0 success, 1 expression parse error, 2 invalid problem data or
-direction, 3 localization sum is not a polynomial, 4 degree mismatch,
-5 internal error (an internal consistency check failed), 141 stdout was
-closed before all output was written.
+direction, 3 localization sum is not a polynomial, 4 degree mismatch, 5 internal
+error (an internal consistency check failed), 74 stdout refused the output (as
+a full device does), 141 stdout was closed before all output was written.
 """
 
 from __future__ import annotations
@@ -332,14 +332,18 @@ def _parse_direction(text):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
-        code = _execute(args)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader left: send the rest to devnull so the exit flush cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141  # 128 + SIGPIPE, as a shell reports a producer killed by it
+        try:
+            return _execute(_build_parser().parse_args(argv))
+        finally:  # also after --help, which leaves parse_args by SystemExit
+            sys.stdout.flush()
+    except BrokenPipeError:  # the reader left
+        code = 141  # 128 + SIGPIPE, as a shell reports a producer killed by it
+    except OSError as exc:  # the output refused the bytes, e.g. a full device
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        code = 74  # EX_IOERR of sysexits.h
+    # send the rest to devnull so the exit flush cannot fail again
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -57,7 +57,10 @@ class NotPolynomialError(Exception):
     def __init__(self, fraction, per_point=None):
         self.fraction = fraction
         self.per_point = per_point
-        super().__init__(f"denominator factors survive cancellation: {fraction}")
+        super().__init__(fraction, per_point)
+
+    def __str__(self):  # rendered on demand: an error replaced unread costs nothing
+        return f"denominator factors survive cancellation: {self.fraction}"
 
 
 def _shift(rank, index):
@@ -324,17 +327,16 @@ class LinearForm:
         scalar * form.coefficients == vector, with scalar carrying both the
         content and the sign of the first nonzero entry.
         """
-        vector = tuple(operator.index(c) for c in vector)
+        vector = tuple(map(operator.index, vector))
         if not any(vector):
             raise ValueError("cannot normalize the zero vector")
-        content = 0
-        for c in vector:
-            content = gcd(content, abs(c))
-        first = next(c for c in vector if c)
-        scalar = content if first > 0 else -content
+        content = gcd(*vector)
+        scalar = content if next(filter(None, vector)) > 0 else -content
+        if scalar != 1:
+            vector = tuple(c // scalar for c in vector)
         # canonical by construction; bypasses __post_init__, which calls this
         form = object.__new__(cls)
-        object.__setattr__(form, "coefficients", tuple(c // scalar for c in vector))
+        object.__setattr__(form, "coefficients", vector)
         return form, scalar
 
     @property
@@ -368,15 +370,33 @@ def _times_form(p, vector):
     return Polynomial._raw(p.rank, _add_times({}, p._terms, vector))
 
 
-def _elementary_symmetric(vectors, rank):
-    # [e_0, ..., e_n] of the linear forms a.u for the integer vectors a, by
-    # the recurrence e_j += e_{j-1} * (a.u), run on term dicts in place
+def _elementary_symmetric(vectors, rank, top):
+    # [e_0, ..., e_m], m = min(top, number of vectors), of the linear forms a.u
+    # for the integer vectors a, by the recurrence e_j += e_{j-1} * (a.u) on term
+    # dicts in place; multiples a*u_k of one coordinate are grouped by k instead,
+    # and the terms E_i * u_k^i of their integer elementary symmetric numbers E_i
+    # are folded in by key shifts
     table = [{0: 1}]
+    coordinates = {}  # key of u_k -> the entries a of the vectors a*u_k
     for vector in vectors:
         _check_vector(vector, rank)
-        table.append({})
+        if vector.count(0) == rank - 1:
+            entry = sum(vector)
+            coordinates.setdefault(1 << _shift(rank, vector.index(entry)), []).append(entry)
+            continue
+        if len(table) <= top:
+            table.append({})
         for j in range(len(table) - 1, 0, -1):
             _add_times(table[j], table[j - 1], vector)
+    for step, entries in coordinates.items():
+        numbers = [1]
+        for a in entries:  # E_i += a * E_{i-1}
+            numbers = [x + a * y for x, y in zip(numbers + [0], [0] + numbers)][: top + 1]
+        folded = [{} for _ in range(min(len(table) + len(numbers) - 2, top) + 1)]
+        for i, number in enumerate(numbers):
+            for j, terms in enumerate(table[: len(folded) - i] if number else ()):
+                _accumulate(folded[i + j], terms, i * step, number)
+        table = folded
     return [Polynomial._raw(rank, terms) for terms in table]
 
 

@@ -197,6 +197,42 @@ def specialize(value, xi):
     return Polynomial(1, terms)
 
 
+def reference_restrict(expr, point, rank):
+    """restrict(expr, point, rank) from the expansion of prod(1 + t*w) over the
+    point's weights w, in plain Polynomial arithmetic: c_k is the coefficient
+    of t^k (0 above the weight count), e is sign * prod(w), literals constants.
+    """
+    zero = Polynomial.zero(rank)
+    forms = [
+        sum((c * variable(rank, i) for i, c in enumerate(w.components)), zero)
+        for w in point.weights
+    ]
+    chern = [Polynomial.constant(rank, 1)]
+    for form in forms:  # multiply the series by 1 + t*form
+        chern = [a + form * b for a, b in zip(chern + [zero], [zero] + chern)]
+    euler = Polynomial.constant(rank, point.sign)
+    for form in forms:
+        euler = euler * form
+
+    def evaluate(node):
+        if isinstance(node, IntegerLiteral):
+            return Polynomial.constant(rank, node.value)
+        if isinstance(node, ChernClass):
+            return chern[node.index] if node.index < len(chern) else zero
+        if isinstance(node, EulerClass):
+            return euler
+        if isinstance(node, Power):
+            return evaluate(node.base) ** node.exponent
+        left, right = evaluate(node.left), evaluate(node.right)
+        if isinstance(node, Sum):
+            return left + right
+        if isinstance(node, Difference):
+            return left - right
+        return left * right
+
+    return evaluate(expr)
+
+
 def cohomological_degrees(p):
     """The set of cohomological degrees 2*(e1 + ... + el) of p's terms."""
     return {2 * sum(exponents) for exponents in p.terms}

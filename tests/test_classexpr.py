@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusloc import (
@@ -27,7 +27,13 @@ from torusloc import (
 )
 from torusloc.classexpr import MAX_DEPTH
 
-from support import cohomological_degrees, random_expr, random_point, variable
+from support import (
+    cohomological_degrees,
+    random_expr,
+    random_point,
+    reference_restrict,
+    variable,
+)
 
 u = variable(1, 0)
 
@@ -238,6 +244,59 @@ def test_restrict_rejects_zero_weight():
     for text in ("c1", "e", "1"):
         with pytest.raises(ValueError, match="zero weight at point 'z'"):
             restrict(parse(text), point, 2)
+
+
+@st.composite
+def mixed_points(draw):
+    """(rank, point) whose weights mix multiples of one coordinate u_k (repeated,
+    negative, several on one k) with general vectors."""
+    rank = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3).filter(bool)
+    coordinate = st.tuples(st.integers(0, rank - 1), entry).map(
+        lambda ka: tuple(ka[1] if i == ka[0] else 0 for i in range(rank))
+    )
+    general = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
+    vectors = draw(st.lists(st.one_of(coordinate, general), max_size=5))
+    return rank, FixedPoint("p", tuple(map(Weight, vectors)), draw(st.sampled_from((1, -1))))
+
+
+def class_expressions(max_chern):
+    """Expressions over literals, e and c_1..c_max_chern, powers only of atoms."""
+    atoms = st.one_of(
+        st.builds(IntegerLiteral, st.integers(0, 4)),
+        st.builds(ChernClass, st.integers(1, max_chern)),
+        st.just(EulerClass()),
+    )
+    factors = st.one_of(atoms, st.builds(Power, atoms, st.integers(0, 2)))
+    return st.recursive(
+        factors,
+        lambda inner: st.one_of(
+            st.builds(Sum, inner, inner),
+            st.builds(Difference, inner, inner),
+            st.builds(Product, inner, inner),
+        ),
+        max_leaves=3,
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_restrict_matches_the_product_expansion(data):
+    # Chern indices run from below the weight count to two above it
+    rank, point = data.draw(mixed_points())
+    expr = data.draw(class_expressions(len(point.weights) + 2))
+    assert restrict(expr, point, rank) == reference_restrict(expr, point, rank)
+
+
+@pytest.mark.parametrize(
+    "text", ["c1^12", "c12", "c13", "c5*c7 - 2*c12", "e", "e - c12", "7", "3^2 + 1"]
+)
+def test_restrict_on_many_coordinate_weights(text):
+    # the circle path: twelve weights along u1, as at a point of CP^12 after
+    # circle_reduce, some repeated and some negative
+    point = FixedPoint("p", tuple(Weight((a,)) for a in (1, 2, -3, 4, 5, -1, 2, 7, -8, 9, 1, 3)), -1)
+    expr = parse(text)
+    assert restrict(expr, point, 1) == reference_restrict(expr, point, 1)
 
 
 def test_restrict_is_ring_homomorphism():

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -527,3 +528,33 @@ def test_closed_stdout_exits_141_without_traceback(monkeypatch, unbuffered):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 141
     assert not any(text in err.decode() for text in ("Traceback", "Exception ignored", "BrokenPipe"))
+
+
+def test_help_into_a_closed_pipe_exits_141_without_traceback(monkeypatch):
+    # buffered: the help text waits in the buffer until main's flush (an
+    # unbuffered write fails inside argparse, which ignores the error)
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torusloc", "integrate", "--help"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader leaves before the first byte
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the always-full device")
+def test_full_stdout_exits_74_with_one_error_line():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "torusloc", "integrate", "--space", "cpn:1", "--expr", "c1", "--top"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    assert proc.returncode == 74
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

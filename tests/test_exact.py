@@ -440,7 +440,7 @@ def test_arithmetic_keeps_coefficients_canonical(data):
         cancelled,
         Polynomial(rank, {e: c - c for e, c in q.terms.items()}),
         form.as_polynomial(),
-        *_elementary_symmetric([vector, form.coefficients, negated, form.coefficients], rank),
+        *_elementary_symmetric([vector, form.coefficients, negated, form.coefficients], rank, 4),
         p + q,
         p - q,
         p * q,
@@ -715,3 +715,26 @@ def test_frac_add_divides_by_no_form_of_unequal_multiplicity(monkeypatch):
     monkeypatch.setattr("torusloc.exact.linear_divide", counting)
     assert a + b == expected
     assert calls == []
+
+
+def test_not_polynomial_error_renders_its_message_when_read():
+    class Counted:
+        renders = 0
+
+        def __str__(self):
+            Counted.renders += 1
+            return "(1) / (u1)"
+
+    error = NotPolynomialError(Counted())
+    assert Counted.renders == 0
+    assert str(error) == "denominator factors survive cancellation: (1) / (u1)"
+    assert Counted.renders == 1
+    fraction = FactoredRational(
+        Polynomial(2, {(1, 0): 3}), {LinearForm((1, -1)): 2, LinearForm((0, 1)): 1}
+    )
+    with pytest.raises(NotPolynomialError) as info:
+        fraction.as_polynomial()
+    assert info.value.fraction is fraction and info.value.per_point is None
+    assert str(info.value) == (
+        "denominator factors survive cancellation: (3*u1) / (u2)*(u1 - u2)^2"
+    )
