@@ -34,7 +34,6 @@ from .classexpr import (
 )
 from .exact import (
     FactoredRational,
-    LinearForm,
     NotPolynomialError,
     Polynomial,
     RankMismatch,
@@ -62,7 +61,6 @@ __all__ = [
     "FixedPoint",
     "InhomogeneousExpression",
     "IntegerLiteral",
-    "LinearForm",
     "LocalizationProblem",
     "LocalizationResult",
     "NonGenericDirection",

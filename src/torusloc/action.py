@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .exact import LinearForm, Polynomial, _times_form
+from .exact import Polynomial, _primitive, _times_form
 
 
 class ValidationError(Exception):
@@ -58,8 +58,9 @@ class Weight:
         return not any(self.components)
 
     def primitive(self):
-        """(LinearForm, integer scalar) with scalar * form == components."""
-        return LinearForm.normalize(self.components)
+        """(form, integer scalar) with scalar * form == components, where
+        `form` is the primitive int tuple that keys a FactoredRational."""
+        return _primitive(self.components)
 
     def pair(self, direction):
         direction = tuple(direction)

@@ -34,7 +34,7 @@ from .action import (
     validate,
 )
 from .classexpr import InhomogeneousExpression, ParseError, parse, render
-from .exact import NotPolynomialError, RankMismatch
+from .exact import NotPolynomialError, RankMismatch, _form_text
 from .localize import DegreeMismatch, localize, localize_euler, localize_top
 from .spaces import projective_space, product, sphere_rotation
 
@@ -170,7 +170,8 @@ def _fraction_entry(fraction):
     return {
         "numerator": str(fraction.numerator),
         "denominator": [
-            {"form": str(form), "power": power} for form, power in fraction.sorted_denominator()
+            {"form": _form_text(form), "power": power}
+            for form, power in fraction.sorted_denominator()
         ],
     }
 
@@ -267,7 +268,16 @@ def _cmd_check(args, problem):
 # wiring
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):  # the subparsers inherit it
+        def _print_message(self, message, file=None):
+            # argparse ignores a failed write; let one to stdout (the help)
+            # reach main's guard, and write usage errors as argparse does
+            if message and file is sys.stdout:
+                file.write(message)
+            else:
+                super()._print_message(message, file)
+
+    parser = Parser(
         prog="torusloc",
         description=(
             "Exact fixed-point localization: evaluate equivariant integrals as "

@@ -7,7 +7,9 @@ exact, equality is decidable, and the common all-integer case never pays
 for rational arithmetic.  Rational functions are kept with their denominators
 factored into primitive integer linear forms (the only denominators that
 arise from fixed-point data), which reduces simplification to repeated exact
-division by linear forms -- no general multivariate GCD is ever needed.  A
+division by linear forms -- no general multivariate GCD is ever needed.  The
+form a1*u1 + ... + al*ul is the tuple (a1, ..., al) of coprime ints whose
+first nonzero entry is positive, so proportional weights share one key.  A
 sum a/D1 + b/D2 of reduced fractions is divided only by the forms of equal
 multiplicity in D1 and D2: a form L with more powers in D1 divides the lifted b
 but not the lifted a (L is prime and coprime to the other forms), so not the sum.
@@ -33,7 +35,6 @@ u1 > u2 > ... > ul.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -192,10 +193,6 @@ class Polynomial:
         rank = self.rank
         return {_decode(key, rank): c for key, c in self._terms.items()}
 
-    @property
-    def is_zero(self):
-        return not self._terms
-
     def __bool__(self):
         return bool(self._terms)
 
@@ -259,12 +256,6 @@ class Polynomial:
             return Polynomial.constant(self.rank, other)
         return NotImplemented
 
-    def degree(self):
-        """Total polynomial degree, or None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(sum(_decode(key, self.rank)) for key in self._terms)
-
     def constant_coefficient(self):
         """The coefficient of 1, always as a Fraction."""
         return Fraction(self._terms.get(0, 0))
@@ -301,53 +292,34 @@ class Polynomial:
         return f"Polynomial(rank={self.rank}, {self})"
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """Primitive integer linear form a1*u1 + ... + al*ul.
+def _primitive(vector):
+    # (form, scalar) for a nonzero integer vector: `form` is the primitive int
+    # tuple (coprime entries, the first nonzero one positive) with
+    # scalar * form == vector, so proportional vectors share one form
+    vector = tuple(map(operator.index, vector))
+    if not any(vector):
+        raise ValueError("cannot normalize the zero vector")
+    content = gcd(*vector)
+    scalar = content if next(filter(None, vector)) > 0 else -content
+    if scalar != 1:
+        vector = tuple(c // scalar for c in vector)
+    return vector, scalar
 
-    Canonical representative: coefficients are coprime integers, not all
-    zero, and the first nonzero one is positive.  Proportional integer
-    vectors therefore normalize to the same form, which makes LinearForm a
-    usable multiset key for factored denominators.
-    """
 
-    coefficients: tuple
+def _checked_form(vector, rank):
+    # the primitive int tuple of a form passed in from outside; raises unless
+    # `vector` is already primitive and of length `rank`
+    form, scalar = _primitive(vector)
+    if scalar != 1:
+        raise ValueError(f"{vector} is not a primitive linear form")
+    if len(form) != rank:
+        raise RankMismatch(f"form of length {len(form)} vs rank {rank}")
+    return form
 
-    def __post_init__(self):
-        form, scalar = LinearForm.normalize(self.coefficients)
-        if scalar != 1:
-            vector = tuple(scalar * c for c in form.coefficients)
-            raise ValueError(f"{vector} is not content-normalized; use LinearForm.normalize")
-        object.__setattr__(self, "coefficients", form.coefficients)
 
-    @classmethod
-    def normalize(cls, vector):
-        """Split an arbitrary nonzero integer vector into (form, scalar).
-
-        scalar * form.coefficients == vector, with scalar carrying both the
-        content and the sign of the first nonzero entry.
-        """
-        vector = tuple(map(operator.index, vector))
-        if not any(vector):
-            raise ValueError("cannot normalize the zero vector")
-        content = gcd(*vector)
-        scalar = content if next(filter(None, vector)) > 0 else -content
-        if scalar != 1:
-            vector = tuple(c // scalar for c in vector)
-        # canonical by construction; bypasses __post_init__, which calls this
-        form = object.__new__(cls)
-        object.__setattr__(form, "coefficients", vector)
-        return form, scalar
-
-    @property
-    def rank(self):
-        return len(self.coefficients)
-
-    def as_polynomial(self):
-        return Polynomial._raw(self.rank, _add_times({}, {0: 1}, self.coefficients))
-
-    def __str__(self):
-        return str(self.as_polynomial())
+def _form_text(form):
+    # a1*u1 + ... + al*ul in the canonical polynomial text
+    return str(Polynomial._raw(len(form), _add_times({}, {0: 1}, form)))
 
 
 def _add_times(result, terms, vector):
@@ -403,7 +375,8 @@ def _elementary_symmetric(vectors, rank, top):
 def linear_divide(p, form):
     """Exact division of `p` by a primitive linear form.
 
-    Returns q with q * form == p when the form divides p, and None
+    `form` is a primitive coefficient tuple, as `Weight.primitive` returns
+    it.  Returns q with q * form == p when the form divides p, and None
     otherwise (a normal outcome, not an error).
 
     Synthetic division in the form's pivot variable x (its first variable
@@ -424,11 +397,9 @@ def linear_divide(p, form):
     """
     if not isinstance(p, Polynomial):
         raise TypeError(f"expected Polynomial, got {type(p).__name__}")
-    if p.rank != form.rank:
-        raise RankMismatch(f"polynomial rank {p.rank} vs form rank {form.rank}")
+    coefficients = _checked_form(form, p.rank)
     if not p:
         return p
-    coefficients = form.coefficients
     pivot = next(i for i, c in enumerate(coefficients) if c)
     lead = coefficients[pivot]
     shift = _shift(p.rank, pivot)
@@ -475,12 +446,9 @@ def _cancel(numerator, multiset, forms):
     # divide each of `forms` out of numerator / multiset (in place) as often as
     # it divides; forms are prime, so any order gives the unique reduced result
     for form in forms:
-        coefficients = form.coefficients
-        if coefficients.count(0) == len(coefficients) - 1:
+        if form.count(0) == len(form) - 1:
             # the form is a coordinate u_j: one key shift cancels it
-            numerator, cancelled = _cancel_coordinate(
-                numerator, coefficients.index(1), multiset[form]
-            )
+            numerator, cancelled = _cancel_coordinate(numerator, form.index(1), multiset[form])
             multiset[form] -= cancelled
         else:
             while multiset[form] > 0:
@@ -498,9 +466,10 @@ class FactoredRational:
     """Rational function numerator / product of linear-form powers.
 
     Always stored fully cancelled: no denominator form divides the
-    numerator.  The denominator is a dict {primitive LinearForm: positive
-    multiplicity}, a multiset; content and sign scalars extracted during
-    normalization belong in the numerator's coefficients.
+    numerator.  The denominator is a multiset {form: positive multiplicity}
+    keyed by primitive coefficient tuples, as `Weight.primitive` returns
+    them; the constructor rejects any other key.  Content and sign scalars
+    belong in the numerator's coefficients.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -510,13 +479,10 @@ class FactoredRational:
             raise TypeError(f"numerator must be a Polynomial, got {type(numerator).__name__}")
         multiset = {}
         for form, multiplicity in denominator.items():
+            form = _checked_form(form, numerator.rank)
             multiplicity = operator.index(multiplicity)
             if multiplicity < 0:
-                raise ValueError(f"negative multiplicity for {form}")
-            if form.rank != numerator.rank:
-                raise RankMismatch(
-                    f"form rank {form.rank} vs numerator rank {numerator.rank}"
-                )
+                raise ValueError(f"negative multiplicity for {_form_text(form)}")
             if multiplicity:
                 multiset[form] = multiplicity
         object.__setattr__(self, "numerator", _cancel(numerator, multiset, list(multiset)))
@@ -558,9 +524,9 @@ class FactoredRational:
         right = other.numerator
         for form, multiplicity in lcm.items():
             for _ in range(multiplicity - self.denominator.get(form, 0)):
-                left = _times_form(left, form.coefficients)
+                left = _times_form(left, form)
             for _ in range(multiplicity - other.denominator.get(form, 0)):
-                right = _times_form(right, form.coefficients)
+                right = _times_form(right, form)
         # a form of unequal multiplicities divides one lifted numerator but not
         # the other (operands are reduced), so not the sum: only `shared` can cancel
         shared = [f for f, m in self.denominator.items() if other.denominator.get(f) == m]
@@ -582,13 +548,13 @@ class FactoredRational:
     __hash__ = None
 
     def sorted_denominator(self):
-        return sorted(self.denominator.items(), key=lambda kv: kv[0].coefficients)
+        return sorted(self.denominator.items())
 
     def __str__(self):
         if not self.denominator:
             return str(self.numerator)
         factors = "*".join(
-            f"({form})" if multiplicity == 1 else f"({form})^{multiplicity}"
+            f"({_form_text(form)})" + ("" if multiplicity == 1 else f"^{multiplicity}")
             for form, multiplicity in self.sorted_denominator()
         )
         return f"({self.numerator}) / {factors}"

@@ -11,7 +11,6 @@ from torusloc import (
     FactoredRational,
     FixedPoint,
     IntegerLiteral,
-    LinearForm,
     Polynomial,
     Power,
     Product,
@@ -25,6 +24,12 @@ from torusloc.cli import DOCUMENT_FORMAT
 def variable(rank, index):
     """The generator u_{index+1} (0-based index) of the rank-`rank` ring."""
     return Polynomial(rank, {tuple(int(i == index) for i in range(rank)): 1})
+
+
+def linear_polynomial(form):
+    """The Polynomial a1*u1 + ... + al*ul of a coefficient tuple (a1, ..., al)."""
+    rank = len(form)
+    return sum((c * variable(rank, i) for i, c in enumerate(form)), Polynomial.zero(rank))
 
 
 def random_exponents(rng, rank, max_degree):
@@ -50,7 +55,7 @@ def random_vector(rng, rank, bound=3):
 
 
 def random_linear_form(rng, rank, bound=3):
-    form, _ = LinearForm.normalize(random_vector(rng, rank, bound))
+    form, _ = Weight(random_vector(rng, rank, bound)).primitive()
     return form
 
 
@@ -181,13 +186,13 @@ def specialize(value, xi):
     if isinstance(value, FactoredRational):
         scale, power = 1, 0
         for form, multiplicity in value.denominator.items():
-            pairing = sum(c * x for c, x in zip(form.coefficients, xi))
+            pairing = sum(c * x for c, x in zip(form, xi))
             if pairing == 0:
                 raise ZeroDivisionError(f"direction {xi} annihilates denominator form {form}")
             scale *= pairing**multiplicity
             power += multiplicity
         numerator = specialize(value.numerator, xi) * Fraction(1, scale)
-        return FactoredRational(numerator, {LinearForm((1,)): power})
+        return FactoredRational(numerator, {(1,): power})
     terms = {}
     for exponents, coefficient in value.terms.items():
         for e, x in zip(exponents, xi):
@@ -203,10 +208,7 @@ def reference_restrict(expr, point, rank):
     of t^k (0 above the weight count), e is sign * prod(w), literals constants.
     """
     zero = Polynomial.zero(rank)
-    forms = [
-        sum((c * variable(rank, i) for i, c in enumerate(w.components)), zero)
-        for w in point.weights
-    ]
+    forms = [linear_polynomial(w.components) for w in point.weights]
     chern = [Polynomial.constant(rank, 1)]
     for form in forms:  # multiply the series by 1 + t*form
         chern = [a + form * b for a, b in zip(chern + [zero], [zero] + chern)]

@@ -530,10 +530,14 @@ def test_closed_stdout_exits_141_without_traceback(monkeypatch, unbuffered):
     assert not any(text in err.decode() for text in ("Traceback", "Exception ignored", "BrokenPipe"))
 
 
-def test_help_into_a_closed_pipe_exits_141_without_traceback(monkeypatch):
-    # buffered: the help text waits in the buffer until main's flush (an
-    # unbuffered write fails inside argparse, which ignores the error)
-    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_help_into_a_closed_pipe_exits_141_without_traceback(monkeypatch, unbuffered):
+    # buffered, the help text fails at main's flush; unbuffered, at the write
+    # inside argparse, which must not ignore the error
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     proc = subprocess.Popen(
         [sys.executable, "-m", "torusloc", "integrate", "--help"],
         stdout=subprocess.PIPE,

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torusloc import FactoredRational, LinearForm, NotPolynomialError, Polynomial, RankMismatch, linear_divide
+from torusloc import FactoredRational, NotPolynomialError, Polynomial, RankMismatch, Weight, linear_divide
 from torusloc.exact import _elementary_symmetric, _times_form
 
 from support import (
+    linear_polynomial,
     random_fraction,
     reference_add,
     reference_linear_divide,
@@ -23,19 +24,18 @@ from support import (
 u = variable(1, 0)
 u1 = variable(2, 0)
 u2 = variable(2, 1)
-U = LinearForm((1,))
+U = (1,)
 
 
 def form2(a, b):
-    form, scalar = LinearForm.normalize((a, b))
-    return form, scalar
+    return Weight((a, b)).primitive()
 
 
 # ---------------------------------------------------------------------------
 # addition / multiplication / substitution
 
 def test_add_additive_inverse():
-    assert (u1 + (-u1)).is_zero
+    assert not u1 + (-u1)
 
 
 def test_add_collects_like_terms():
@@ -57,7 +57,7 @@ def test_mul_difference_of_squares():
 
 def test_mul_by_zero_annihilates():
     p = 2 * u1 ** 2 - u2 + 7
-    assert (p * Polynomial.zero(2)).is_zero
+    assert not p * Polynomial.zero(2)
 
 
 def test_mul_power():
@@ -75,7 +75,7 @@ def test_substitute_product():
 
 
 def test_substitute_kernel():
-    assert specialize(u1 + u2, (1, -1)).is_zero
+    assert not specialize(u1 + u2, (1, -1))
 
 
 def test_substitute_length_check():
@@ -88,20 +88,36 @@ def test_substitute_length_check():
 
 def test_normalize_extracts_content_and_sign():
     form, scalar = form2(-2, 4)
-    assert form.coefficients == (1, -2)
+    assert form == (1, -2)
     assert scalar == -2
 
 
 def test_normalize_rejects_zero_vector():
     with pytest.raises(ValueError):
-        LinearForm.normalize((0, 0))
+        Weight((0, 0)).primitive()
 
 
-def test_non_primitive_construction_rejected():
-    with pytest.raises(ValueError):
-        LinearForm((2, 4))
-    with pytest.raises(ValueError):
-        LinearForm((-1, 2))
+@pytest.mark.parametrize(
+    "form, error",
+    [
+        ((0, 0), ValueError),
+        ((2, 4), ValueError),
+        ((-1, 2), ValueError),
+        ((1.0, 2), TypeError),
+        ((1, 0, 0), RankMismatch),
+    ],
+    ids=["zero", "content", "sign", "float", "length"],
+)
+def test_forms_from_outside_must_be_primitive_int_tuples(form, error):
+    p = u1 + u2
+    with pytest.raises(error):
+        FactoredRational(p, {form: 1})
+    with pytest.raises(error):
+        linear_divide(p, form)
+    # True == 1 with an equal hash, so (True, 0) is accepted; the stored key
+    # is the checked tuple of ints, never the caller's
+    (key,) = FactoredRational(p, {(True, 0): 1}).denominator
+    assert key == (1, 0) and all(type(c) is int for c in key)
 
 
 def test_proportional_vectors_share_a_form():
@@ -123,7 +139,7 @@ def test_linear_divide_irreducible():
 
 def test_linear_divide_zero_dividend():
     form, _ = form2(1, -1)
-    assert linear_divide(Polynomial.zero(2), form).is_zero
+    assert linear_divide(Polynomial.zero(2), form) == Polynomial.zero(2)
 
 
 def test_linear_divide_rank_mismatch():
@@ -139,7 +155,7 @@ def test_frac_add_sphere_cancellation():
     plus = FactoredRational(Polynomial.constant(1, 1), {U: 1})
     minus = FactoredRational(Polynomial.constant(1, -1), {U: 1})
     total = plus + minus
-    assert total.as_polynomial().is_zero
+    assert total.as_polynomial() == Polynomial.zero(1)
 
 
 def test_frac_add_like_denominators():
@@ -238,7 +254,7 @@ def linear_forms(rank, bound=3):
     return (
         st.tuples(*[st.integers(-bound, bound)] * rank)
         .filter(any)
-        .map(lambda v: LinearForm.normalize(v)[0])
+        .map(lambda v: Weight(v).primitive()[0])
     )
 
 
@@ -271,8 +287,8 @@ def quotients(rank):
 
 
 def pivot_free_polynomials(form):
-    pivot = next(i for i, c in enumerate(form.coefficients) if c)
-    return polynomials(form.rank).map(
+    pivot = next(i for i, c in enumerate(form) if c)
+    return polynomials(len(form)).map(
         lambda p: Polynomial(
             p.rank, {e[:pivot] + (0,) + e[pivot + 1 :]: c for e, c in p.terms.items()}
         )
@@ -285,14 +301,14 @@ def pivot_free_polynomials(form):
     )
 )
 @example((Polynomial(1, {(9,): 2, (0,): 1}), U, 1))
-@example((Polynomial(3, {(6, 1, 0): 1, (1, 0, 3): -2, (0, 0, 0): 5}), LinearForm((0, 3, -2)), 1))
-@example((Polynomial(2, {(6, 0): 1, (0, 6): 1}), LinearForm((5, -3)), -2))
+@example((Polynomial(3, {(6, 1, 0): 1, (1, 0, 3): -2, (0, 0, 0): 5}), (0, 3, -2), 1))
+@example((Polynomial(2, {(6, 0): 1, (0, 6): 1}), (5, -3), -2))
 def test_linear_divide_round_trip(data):
     quotient, form, scalar = data
-    p = quotient * form.as_polynomial() * scalar
+    p = quotient * linear_polynomial(form) * scalar
     recovered = linear_divide(p, form)
     assert recovered is not None
-    assert recovered * form.as_polynomial() == p
+    assert recovered * linear_polynomial(form) == p
     assert recovered == quotient * scalar
 
 
@@ -308,13 +324,13 @@ def test_linear_divide_round_trip(data):
 def test_linear_divide_rejects_pivot_free_remainder(data):
     # q*L + r with r nonzero and free of L's pivot variable is never divisible by L
     quotient, form, remainder = data
-    assert linear_divide(quotient * form.as_polynomial() + remainder, form) is None
+    assert linear_divide(quotient * linear_polynomial(form) + remainder, form) is None
 
 
 @given(st.integers(1, 4).flatmap(lambda rank: st.tuples(quotients(rank), linear_forms(rank, 5))))
 def test_times_form_matches_product(data):
     p, form = data
-    assert _times_form(p, form.coefficients) == p * form.as_polynomial()
+    assert _times_form(p, form) == p * linear_polynomial(form)
 
 
 @given(st.integers(1, 2).flatmap(lambda rank: st.tuples(fractions_(rank), fractions_(rank))))
@@ -416,11 +432,11 @@ class TwinIndex:
     (
         Polynomial(2, {(1, 0): Fraction(3, 2), (0, 1): Fraction(1, 2)}),
         Polynomial(2, {(1, 0): Fraction(-3, 2)}),
-        LinearForm((3, -2)),
+        (3, -2),
         (2, 3),
         2,
-        FactoredRational(Polynomial(2, {(0, 0): Fraction(1, 2)}), {LinearForm((3, -2)): 1}),
-        FactoredRational(Polynomial(2, {(0, 0): Fraction(5, 2)}), {LinearForm((3, -2)): 1}),
+        FactoredRational(Polynomial(2, {(0, 0): Fraction(1, 2)}), {(3, -2): 1}),
+        FactoredRational(Polynomial(2, {(0, 0): Fraction(5, 2)}), {(3, -2): 1}),
     )
 )
 @settings(max_examples=80, deadline=None)
@@ -439,8 +455,8 @@ def test_arithmetic_keeps_coefficients_canonical(data):
         with_zeros,
         cancelled,
         Polynomial(rank, {e: c - c for e, c in q.terms.items()}),
-        form.as_polynomial(),
-        *_elementary_symmetric([vector, form.coefficients, negated, form.coefficients], rank, 4),
+        linear_polynomial(form),
+        *_elementary_symmetric([vector, form, negated, form], rank, 4),
         p + q,
         p - q,
         p * q,
@@ -448,14 +464,14 @@ def test_arithmetic_keeps_coefficients_canonical(data):
         p ** power,
         specialize(p, vector),
         _times_form(p, vector),
-        _times_form(p, form.coefficients),
-        linear_divide(p * form.as_polynomial(), form),
+        _times_form(p, form),
+        linear_divide(p * linear_polynomial(form), form),
         (a + b).numerator,
     ]
     divided = linear_divide(p, form)
     if divided is not None:
         results.append(divided)
-    if all(sum(c * x for c, x in zip(f.coefficients, vector)) for f in a.denominator):
+    if all(sum(c * x for c, x in zip(f, vector)) for f in a.denominator):
         results.append(specialize(a, vector).numerator)
     for result in results:
         assert_canonical(result)
@@ -522,8 +538,8 @@ def test_packed_arithmetic_matches_tuple_reference(data):
     a, b, quotient, p, form = data
     assert (a + b).terms == reference_add(a.terms, b.terms)
     assert (a * b).terms == reference_mul(a.terms, b.terms)
-    for dividend in (p, quotient * form.as_polynomial(), quotient * form.as_polynomial() + p):
-        expected = reference_linear_divide(dividend.terms, form.coefficients)
+    for dividend in (p, quotient * linear_polynomial(form), quotient * linear_polynomial(form) + p):
+        expected = reference_linear_divide(dividend.terms, form)
         divided = linear_divide(dividend, form)
         if expected is None:
             assert divided is None
@@ -545,7 +561,7 @@ def test_exponent_limit_in_constructor():
         Polynomial(1, {(2**31,): 1})
     with pytest.raises(ValueError):
         Polynomial(3, {(0, 2**31, 0): 1})
-    assert Polynomial(1, {(2**31 - 1,): 1}).degree() == 2**31 - 1
+    assert Polynomial(1, {(2**31 - 1,): 1}).terms == {(2**31 - 1,): 1}
 
 
 def test_crossing_the_exponent_guard_raises():
@@ -581,23 +597,23 @@ def test_coordinate_form_full_cancellation():
 
 
 def test_coordinate_form_zero_numerator_clears_denominator():
-    fraction = FactoredRational(Polynomial.zero(3), {LinearForm((0, 1, 0)): 4})
-    assert fraction.numerator.is_zero and fraction.denominator == {}
+    fraction = FactoredRational(Polynomial.zero(3), {(0, 1, 0): 4})
+    assert not fraction.numerator and fraction.denominator == {}
 
 
 def test_coordinate_form_inside_rank3_fraction():
     v1, v2, v3 = (variable(3, i) for i in range(3))
     numerator = v1 * v2 ** 2 * v3 + v2 ** 3 * v3 ** 2 - v1 ** 2 * v2 ** 4 * v3
-    u2_form, u3_form, other = LinearForm((0, 1, 0)), LinearForm((0, 0, 1)), LinearForm((1, 1, 0))
+    u2_form, u3_form, other = (0, 1, 0), (0, 0, 1), (1, 1, 0)
     fraction = FactoredRational(numerator, {u2_form: 3, u3_form: 1, other: 1})
     assert fraction.denominator == {u2_form: 1, other: 1}
     assert fraction.numerator == v1 + v2 * v3 - v1 ** 2 * v2 ** 2
     # the same value as dividing by u2 one power at a time
     expected = numerator.terms
     for form in (u2_form, u2_form, u3_form):
-        expected = reference_linear_divide(expected, form.coefficients)
+        expected = reference_linear_divide(expected, form)
     assert fraction.numerator.terms == expected
-    assert reference_linear_divide(expected, u2_form.coefficients) is None
+    assert reference_linear_divide(expected, u2_form) is None
 
 
 def test_coordinate_forms_need_no_linear_divide(monkeypatch):
@@ -611,10 +627,14 @@ def test_coordinate_forms_need_no_linear_divide(monkeypatch):
 
 def test_normalize_builds_a_valid_form():
     for vector in ((2, -4), (-3, 0, 6), (0, 0, -7), (5,)):
-        form, scalar = LinearForm.normalize(vector)
-        assert LinearForm(form.coefficients) == form  # passes full validation
-        assert hash(LinearForm(form.coefficients)) == hash(form)
-        assert tuple(scalar * c for c in form.coefficients) == vector
+        form, scalar = Weight(vector).primitive()
+        assert tuple(scalar * c for c in form) == vector
+        # a proportional vector gives an equal key with an equal hash
+        twin, _ = Weight(tuple(-3 * c for c in vector)).primitive()
+        assert twin == form and hash(twin) == hash(form)
+        # the form passes the constructor's full validation unchanged
+        one = Polynomial.constant(len(form), 1)
+        assert FactoredRational(one, {form: 1}).denominator == {form: 1}
 
 
 def test_frac_add_randomized_batch():
@@ -632,7 +652,7 @@ def test_frac_add_randomized_batch():
 def lift(p, multiset):
     # p times every form of the multiset, through Polynomial multiplication
     for form, multiplicity in multiset.items():
-        p = p * form.as_polynomial() ** multiplicity
+        p = p * linear_polynomial(form) ** multiplicity
     return p
 
 
@@ -649,7 +669,7 @@ def sum_cancelled_everywhere(a, b):
 
 def denominator_forms(rank):
     coordinates = st.integers(0, rank - 1).map(
-        lambda j: LinearForm(tuple(int(i == j) for i in range(rank)))
+        lambda j: tuple(int(i == j) for i in range(rank))
     )
     return st.one_of(linear_forms(rank), coordinates)
 
@@ -684,7 +704,7 @@ def frac_pairs(rank):
 
 
 ZERO_SUM_OPERAND = FactoredRational(
-    u1 + 3 * u2, {LinearForm((1, -1)): 2, LinearForm((2, 1)): 1, LinearForm((0, 1)): 1}
+    u1 + 3 * u2, {(1, -1): 2, (2, 1): 1, (0, 1): 1}
 )
 
 
@@ -702,7 +722,7 @@ def test_frac_add_matches_full_cancellation(data):
 def test_frac_add_divides_by_no_form_of_unequal_multiplicity(monkeypatch):
     # L occurs twice in a and once in b, M only in a, N only in b: none of
     # them can divide the sum, so no division is tried
-    L, M, N = LinearForm((1, 1)), LinearForm((1, -1)), LinearForm((1, 2))
+    L, M, N = (1, 1), (1, -1), (1, 2)
     a = FactoredRational(u1 + 3, {L: 2, M: 1})
     b = FactoredRational(u2 - 1, {L: 1, N: 1})
     expected = sum_cancelled_everywhere(a, b)
@@ -730,7 +750,7 @@ def test_not_polynomial_error_renders_its_message_when_read():
     assert str(error) == "denominator factors survive cancellation: (1) / (u1)"
     assert Counted.renders == 1
     fraction = FactoredRational(
-        Polynomial(2, {(1, 0): 3}), {LinearForm((1, -1)): 2, LinearForm((0, 1)): 1}
+        Polynomial(2, {(1, 0): 3}), {(1, -1): 2, (0, 1): 1}
     )
     with pytest.raises(NotPolynomialError) as info:
         fraction.as_polynomial()
