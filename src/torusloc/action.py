@@ -11,9 +11,8 @@ class of the point's tangent space -- is well defined.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
-from .exact import Polynomial, _primitive, _times_form
+from .exact import Polynomial, _primitive, _Record, _times_form
 
 
 class ValidationError(Exception):
@@ -36,18 +35,17 @@ class NonGenericDirection(Exception):
         )
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Record):
     """A tangent weight: an integer vector of length equal to the torus rank.
 
     Must be nonzero for a genuinely isolated fixed point; zero vectors are
     representable so that `validate` can report them.
     """
 
-    components: tuple
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(map(operator.index, self.components)))
+    def __init__(self, components):
+        _Record.__init__(self, tuple(map(operator.index, components)))
 
     @property
     def rank(self):
@@ -78,21 +76,16 @@ def _as_weight(value):
     return value if isinstance(value, Weight) else Weight(tuple(value))
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(_Record):
     """A labeled isolated fixed point with tangent weights and orientation sign."""
 
-    label: str
-    weights: tuple
-    sign: int
+    __slots__ = ("label", "weights", "sign")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(map(_as_weight, self.weights)))
-        object.__setattr__(self, "sign", operator.index(self.sign))
+    def __init__(self, label, weights, sign):
+        _Record.__init__(self, label, tuple(map(_as_weight, weights)), operator.index(sign))
 
 
-@dataclass(frozen=True)
-class LocalizationProblem:
+class LocalizationProblem(_Record):
     """A rank-l torus acting on a compact oriented 2n-manifold, fixed points only.
 
     `rank` is the number of circle factors l >= 1, `half_dim` is n >= 0, and
@@ -101,14 +94,10 @@ class LocalizationProblem:
     sign-weighted evaluation at the points.
     """
 
-    rank: int
-    half_dim: int
-    points: tuple
+    __slots__ = ("rank", "half_dim", "points")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rank", operator.index(self.rank))
-        object.__setattr__(self, "half_dim", operator.index(self.half_dim))
-        object.__setattr__(self, "points", tuple(self.points))
+    def __init__(self, rank, half_dim, points):
+        _Record.__init__(self, operator.index(rank), operator.index(half_dim), tuple(points))
 
     @property
     def dimension(self):

@@ -17,58 +17,43 @@ Grammar (whitespace-insensitive, left-associative):
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .action import _check_nonzero_weights, equivariant_euler
-from .exact import Polynomial, _elementary_symmetric
+from .exact import Polynomial, _elementary_symmetric, _Record
 
 
-@dataclass(frozen=True)
-class IntegerLiteral:
-    value: int
+class IntegerLiteral(_Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class ChernClass:
-    index: int  # k >= 1; cohomological degree 2k
+class ChernClass(_Record):
+    __slots__ = ("index",)  # k >= 1; cohomological degree 2k
 
 
-@dataclass(frozen=True)
-class EulerClass:
-    pass
+class EulerClass(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: object
-    right: object
+class Sum(_Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Difference:
-    left: object
-    right: object
+class Difference(_Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Product:
-    left: object
-    right: object
+class Product(_Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Power:
-    base: object
-    exponent: int  # >= 0
+class Power(_Record):
+    __slots__ = ("base", "exponent")  # exponent >= 0
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(_Record):
     """Where and why parsing failed: byte offset, message, expected-token hint."""
 
-    offset: int
-    message: str
-    expected: str
+    __slots__ = ("offset", "message", "expected")
 
 
 class ParseError(Exception):

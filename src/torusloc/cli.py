@@ -12,8 +12,9 @@ All results go to stdout, diagnostics to stderr.
 
 Exit codes: 0 success, 1 expression parse error, 2 invalid problem data or
 direction, 3 localization sum is not a polynomial, 4 degree mismatch, 5 internal
-error (an internal consistency check failed), 74 stdout refused the output (as
-a full device does), 141 stdout was closed before all output was written.
+error (an internal consistency check failed, or any other exception escaped),
+74 stdout refused the output (as a full device does), 141 stdout was closed
+before all output was written.
 """
 
 from __future__ import annotations
@@ -387,6 +388,10 @@ def _execute(args):
         return EXIT_NOT_POLYNOMIAL
     except (DegreeMismatch, InhomogeneousExpression) as exc:
         return _fail(args, EXIT_DEGREE, str(exc))
+    except OSError:  # stdout refused the output: main reports it
+        raise
+    except Exception as exc:  # a fault of the program: one line, no traceback
+        return _fail(args, EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -27,6 +27,13 @@ of term dicts, from addition to synthetic division, runs through one kernel,
 deletes a sum as soon as it reaches zero, so no stored term dict ever holds a
 zero coefficient.
 
+A localization sum can run in fewer variables than the torus rank: when the
+weights have an integer kernel vector k with k_f = 1, the coordinate u_f is
+dropped (`_effective_coordinates`), and a result over the kept coordinates v
+maps back by the integer substitution v_j -> u_j - sum_f k_j*u_f
+(`_substitute`, and `_substitute_fraction`, which keeps a reduced fraction
+reduced and its forms canonical).
+
 Conventions: monomial u1^e1 * ... * ul^el has cohomological degree
 2*(e1 + ... + el), and the canonical term order is graded lexicographic with
 u1 > u2 > ... > ul.
@@ -37,7 +44,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 _FIELD = 32  # bits per exponent field of a packed key
 _FIELD_MASK = (1 << _FIELD) - 1
@@ -128,6 +135,51 @@ def _grlex(exponents):
 def _check_same_rank(a, b):
     if a.rank != b.rank:
         raise RankMismatch(f"rank {a.rank} vs rank {b.rank}")
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    The fields are the `__slots__`, set once by position.  `==` and `hash`
+    compare the type and the fields named by `_fields` (the slots unless a
+    subclass names others), so records of different types never compare
+    equal, and `repr` shows those fields.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}"
+            )
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def _fields(self):
+        return self.__slots__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class Polynomial:
@@ -252,8 +304,8 @@ class Polynomial:
     def _coerce(self, other):
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(self.rank, other)
+        if isinstance(other, (int, Fraction)):  # _canonical stores True as the int 1
+            return Polynomial._raw(self.rank, {0: other} if other else {})
         return NotImplemented
 
     def constant_coefficient(self):
@@ -561,3 +613,118 @@ class FactoredRational:
 
     def __repr__(self):
         return f"FactoredRational({self})"
+
+
+def _clear(row, other, pivot):
+    # row - (row[pivot] / other[pivot]) * other, scaled to integer content 1
+    a, b = other[pivot], row[pivot]
+    row = [a * x - b * y for x, y in zip(row, other)]
+    content = gcd(*row)
+    return [x // content for x in row] if content > 1 else row
+
+
+def _effective_coordinates(vectors, rank):
+    # The coordinates a sum over these integer vectors can do without.
+    # Coordinate f can be dropped when an integer kernel vector k of the
+    # vectors has k[f] == 1 and is 0 at every other dropped coordinate: then
+    # v[f] = -sum(k[j]*v[j]) over the kept coordinates j, for every vector v.
+    # Returns {j: image_j} over the kept j, in order, where image_j is 1 at j
+    # and -k[j] at each dropped f, so that v_j -> image_j . u sends the form
+    # of a vector over the kept coordinates to its form over all of them; {}
+    # when no coordinate can be dropped.  A kernel basis is read off an
+    # integer row echelon form of the vectors; then each basis vector in turn,
+    # cleared at the coordinates already dropped, drops its last entry +-1.
+    rows = {}  # pivot -> row; each row is 0 at every other row's pivot
+    for vector in vectors:
+        row = list(vector)
+        for pivot, other in rows.items():
+            if row[pivot]:
+                row = _clear(row, other, pivot)
+        if any(row):
+            pivot = next(j for j, c in enumerate(row) if c)
+            for other_pivot, other in rows.items():
+                if other[pivot]:
+                    rows[other_pivot] = _clear(other, row, pivot)
+            rows[pivot] = row
+            if len(rows) == rank:
+                return {}
+    dropped = {}  # f -> k
+    for free in range(rank):
+        if free in rows:
+            continue
+        scale = lcm(*(row[pivot] for pivot, row in rows.items()))
+        k = [0] * rank
+        k[free] = scale
+        for pivot, row in rows.items():
+            k[pivot] = -row[free] * scale // row[pivot]
+        k = list(_primitive(k)[0])
+        for f, other in dropped.items():
+            if k[f]:
+                k = _clear(k, other, f)
+        f = next((j for j in reversed(range(rank)) if k[j] in (1, -1)), None)
+        if f is not None:
+            k = [c * k[f] for c in k]
+            for g, other in dropped.items():
+                if other[f]:
+                    dropped[g] = _clear(other, k, f)
+            dropped[f] = k
+    if not dropped:
+        return {}
+    images = {}
+    for j in range(rank):
+        if j not in dropped:
+            image = [0] * rank
+            image[j] = 1
+            for f, k in dropped.items():
+                image[f] = -k[j]
+            images[j] = tuple(image)
+    return images
+
+
+def _substitute(p, images):
+    # p(v_1, ..., v_r) at v_i = image . u for the i-th (kept coordinate j,
+    # image) of `images` (see _effective_coordinates), a polynomial of the
+    # full rank; p itself when `images` is {}.  The exponent of v_i moves to
+    # the field of u_j, then u_j -> image . u by Horner's rule in u_j, which
+    # only brings in dropped coordinates.
+    if not images:
+        return p
+    rank = len(next(iter(images.values())))
+    moves = [(_shift(p.rank, i), _shift(rank, j)) for i, j in enumerate(images)]
+    terms = {}
+    for key, coefficient in p._terms.items():
+        terms[sum(((key >> old) & _FIELD_MASK) << new for old, new in moves)] = coefficient
+    for j, image in images.items():
+        if image.count(0) == rank - 1:
+            continue
+        shift = _shift(rank, j)
+        slices = {}  # exponent d of u_j -> the terms with u_j^d, u_j^d removed
+        for key, coefficient in terms.items():
+            d = (key >> shift) & _FIELD_MASK
+            slices.setdefault(d, {})[key - (d << shift)] = coefficient
+        terms = {}
+        for d in range(max(slices, default=0), -1, -1):
+            terms = _accumulate(_add_times({}, terms, image), slices.get(d, {}), 0, 1)
+    return Polynomial._raw(rank, terms)
+
+
+def _substitute_fraction(fraction, images):
+    # _substitute on a reduced fraction, which stays reduced: each form maps to
+    # a primitive form (its kept entries are the old ones), negated to the
+    # canonical sign when it starts at a dropped coordinate, and the numerator
+    # changes sign once for each such form of odd multiplicity
+    if not images:
+        return fraction
+    numerator = _substitute(fraction.numerator, images)
+    denominator = {}
+    negate = False
+    for form, multiplicity in fraction.denominator.items():
+        full = [0] * numerator.rank
+        for a, image in zip(form, images.values()):
+            if a:
+                full = [x + a * y for x, y in zip(full, image)]
+        if next(filter(None, full)) < 0:
+            full = [-x for x in full]
+            negate ^= multiplicity % 2 == 1
+        denominator[tuple(full)] = multiplicity
+    return FactoredRational._raw(-numerator if negate else numerator, denominator)

@@ -8,6 +8,16 @@ comes from a genuine action and class.  Non-cancellation is therefore the
 primary diagnostic that the fixed-point data is geometrically inconsistent,
 and is reported with every per-point term attached.
 
+The sum runs over the effective torus.  When an integer kernel vector k of
+the weights has k_f = 1, as k = (1, ..., 1) has for CP^n, the coordinate u_f
+is a fixed combination of the others on every weight; `localize` drops each
+such coordinate, builds every point term and the whole sum in the r
+coordinates it keeps, and maps the value back to Q[u1, ..., ul] by the
+substitution v_j -> u_j - sum_f k_j*u_f.  The substitution is injective and
+linear, so cancellation, reduced terms and the degree law are the same in
+either ring, and every output is the one the full-rank sum gives.  The
+per-point terms are mapped back when they are first read.
+
 The rules built on the sum live here once, not in the command line:
 the degree gates (== dim M for `localize_top`, < dim M for
 `check_vanishing`), checked before any point term is evaluated; the
@@ -18,12 +28,18 @@ characteristic equals the fixed-point count (`localize_euler`).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .action import validate
+from .action import FixedPoint, Weight, validate
 from .classexpr import EulerClass, degree, parse, restrict
-from .exact import FactoredRational, NotPolynomialError
+from .exact import (
+    FactoredRational,
+    NotPolynomialError,
+    _effective_coordinates,
+    _Record,
+    _substitute,
+    _substitute_fraction,
+)
 
 
 class DegreeMismatch(Exception):
@@ -38,20 +54,29 @@ class DegreeMismatch(Exception):
         )
 
 
-@dataclass(frozen=True)
-class LocalizationResult:
+class LocalizationResult(_Record):
     """Outcome of a localization sum.
 
     `value` is the exact sum of `per_point_terms` (already certified to be a
     polynomial); `class_degree` is the expression's cohomological degree and
     `dimension` = 2n.  By the degree law, the value is homogeneous of degree
     (class_degree - dimension)/2: 0 below top degree, a constant at top.
+    Both the value and the per-point terms have the problem's rank l.
     """
 
-    value: object  # Polynomial of rank l
-    per_point_terms: tuple  # of (label, FactoredRational)
-    class_degree: int
-    dimension: int
+    # _terms are over the coordinates _images keeps ({}: all of them) until
+    # per_point_terms maps them back
+    __slots__ = ("value", "_terms", "class_degree", "dimension", "_images")
+    _fields = ("value", "per_point_terms", "class_degree", "dimension")
+
+    @property
+    def per_point_terms(self):
+        """(label, FactoredRational) per fixed point, mapped back on the first read."""
+        if self._images:
+            terms = _substitute_terms(self._terms, self._images)
+            object.__setattr__(self, "_terms", terms)
+            object.__setattr__(self, "_images", {})
+        return self._terms
 
 
 def _as_expr(expr):
@@ -70,11 +95,16 @@ def point_term(point, expr, rank):
     return FactoredRational(numerator, denominator)
 
 
+def _substitute_terms(terms, images):
+    return tuple((label, _substitute_fraction(term, images)) for label, term in terms)
+
+
 def localize(problem, expr):
     """Evaluate the localization sum and certify that it is a polynomial.
 
     `expr` may be a ClassExpr or expression text.  Terms are added pairwise
-    in input order.  Raises NotPolynomialError with per-point terms attached
+    in input order, over the effective torus (see the module docstring).
+    Raises NotPolynomialError with per-point terms attached
     when the denominators fail to cancel, and InhomogeneousExpression for an
     expression without a single degree.  It alone checks the degree law, and
     raises AssertionError for a term not of degree (class_degree - dimension)/2.
@@ -82,20 +112,36 @@ def localize(problem, expr):
     validate(problem)
     expr = _as_expr(expr)
     class_degree = degree(expr, problem.half_dim)
-    terms = tuple(
-        (point.label, point_term(point, expr, problem.rank)) for point in problem.points
-    )
-    total = FactoredRational.zero(problem.rank)
+    rank, points, images = problem.rank, problem.points, {}
+    if rank > 1 and problem.half_dim:
+        vectors = {w.components for point in points for w in point.weights}
+        images = _effective_coordinates(vectors, rank)
+    if images:
+        rank = len(images)
+        points = [
+            FixedPoint(
+                point.label,
+                [Weight([w.components[j] for j in images]) for w in point.weights],
+                point.sign,
+            )
+            for point in points
+        ]
+    terms = tuple((point.label, point_term(point, expr, rank)) for point in points)
+    total = FactoredRational.zero(rank)
     for _, term in terms:
         total = total + term
     try:
         value = total.as_polynomial()
     except NotPolynomialError:
-        raise NotPolynomialError(total, per_point=terms) from None
+        raise NotPolynomialError(
+            _substitute_fraction(total, images), per_point=_substitute_terms(terms, images)
+        ) from None
     d = (class_degree - problem.dimension) // 2
-    if any(sum(exponents) != d for exponents in value.terms):
+    homogeneous = all(sum(exponents) == d for exponents in value.terms)
+    value = _substitute(value, images)
+    if not homogeneous:
         raise AssertionError(f"localization value {value} is not homogeneous of degree {d}")
-    return LocalizationResult(value, terms, class_degree, problem.dimension)
+    return LocalizationResult(value, terms, class_degree, problem.dimension, images)
 
 
 _REQUIREMENTS = {"==": operator.eq, "<": operator.lt}

@@ -11,14 +11,18 @@ from torusloc import (
     FactoredRational,
     FixedPoint,
     IntegerLiteral,
+    NotPolynomialError,
     Polynomial,
     Power,
     Product,
     RankMismatch,
     Sum,
     Weight,
+    degree,
+    validate,
 )
 from torusloc.cli import DOCUMENT_FORMAT
+from torusloc.localize import point_term
 
 
 def variable(rank, index):
@@ -233,6 +237,25 @@ def reference_restrict(expr, point, rank):
         return left * right
 
     return evaluate(expr)
+
+
+def reference_localize(problem, expr):
+    """(value, per-point terms) of the localization sum at the full torus rank.
+
+    The sum of point_term(p, expr, rank) over the points in order, with no
+    coordinate eliminated.  Raises NotPolynomialError with the residual and
+    the terms when it does not cancel, as `localize` does.
+    """
+    validate(problem)
+    degree(expr, problem.half_dim)
+    terms = tuple((point.label, point_term(point, expr, problem.rank)) for point in problem.points)
+    total = FactoredRational.zero(problem.rank)
+    for _, term in terms:
+        total = total + term
+    try:
+        return total.as_polynomial(), terms
+    except NotPolynomialError:
+        raise NotPolynomialError(total, per_point=terms) from None
 
 
 def cohomological_degrees(p):

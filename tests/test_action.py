@@ -22,6 +22,25 @@ from support import cohomological_degrees, random_point, specialize, variable
 u = variable(1, 0)
 
 
+def test_records_coerce_their_fields_and_are_immutable():
+    weight = Weight([1, -1])
+    point = FixedPoint("p", [[1, -1]], True)
+    problem = LocalizationProblem(2, True, [point])
+    assert weight.components == (1, -1) and type(weight.components) is tuple
+    assert point.weights == (weight,) and type(point.sign) is int and point.sign == 1
+    assert problem.points == (point,) and type(problem.half_dim) is int
+    assert problem == LocalizationProblem(2, 1, (FixedPoint("p", (Weight((1, -1)),), 1),))
+    assert hash(problem) == hash(LocalizationProblem(2, 1, (FixedPoint("p", ((1, -1),), 1),)))
+    assert weight != FixedPoint("p", (), 1) and Weight((1,)) != Weight((-1,))
+    assert repr(weight) == "Weight(components=(1, -1))"
+    for record, name in ((weight, "components"), (point, "sign"), (problem, "rank")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert point.sign == 1 and problem.rank == 2
+
+
 def test_validate_sphere_ok():
     validate(sphere_rotation())
 

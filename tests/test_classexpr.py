@@ -42,6 +42,30 @@ u = variable(1, 0)
 # ---------------------------------------------------------------------------
 # parsing
 
+def test_nodes_compare_by_type_and_fields():
+    assert ChernClass(1) != IntegerLiteral(1)
+    assert Sum(ChernClass(1), ChernClass(2)) != Product(ChernClass(1), ChernClass(2))
+    assert parse("c1 + e") == Sum(ChernClass(1), EulerClass())
+    assert parse("c1^2 + 3*c2") == parse("c1 ^ 2 + 3 c2")
+    assert hash(parse("c1^2 + 3*c2")) == hash(parse("c1 ^ 2 + 3 c2"))
+    assert hash(EulerClass()) == hash(EulerClass())
+    assert len({ChernClass(1), IntegerLiteral(1), ChernClass(1)}) == 2
+    assert repr(Power(ChernClass(1), 2)) == "Power(base=ChernClass(index=1), exponent=2)"
+    assert repr(EulerClass()) == "EulerClass()"
+
+
+def test_nodes_are_immutable():
+    node = Product(ChernClass(1), IntegerLiteral(2))
+    for name in ("left", "right", "other"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, ChernClass(3))
+    with pytest.raises(AttributeError):
+        del node.left
+    assert node == Product(ChernClass(1), IntegerLiteral(2))
+    with pytest.raises(TypeError):
+        ChernClass(1, 2)
+
+
 def test_parse_sum_of_power_and_product():
     assert parse("c1^2 + 3*c2") == Sum(
         Power(ChernClass(1), 2), Product(IntegerLiteral(3), ChernClass(2))

@@ -425,9 +425,10 @@ def wrong_rank(point, expr, rank):
     [
         (doubled, ("euler", "--space", "cpn:2"), "does not match fixed point count 3"),
         (plus_u1, ("integrate", "--space", "cpn:1", "--expr", "c1", "--top"), "is not homogeneous of degree 0"),
-        (wrong_rank, ("integrate", "--space", "cpn:1", "--expr", "c1"), "rank 2 vs rank 3"),
+        # problems with no coordinate to eliminate, so point_term gets the full rank
+        (wrong_rank, ("integrate", "--space", "product:sphere,sphere", "--expr", "c1"), "rank 2 vs rank 3"),
         # the degree law below and above top degree
-        (plus_u1, ("check", "--space", "cpn:2", "--expr", "c1"), "3*u1 is not homogeneous of degree -1"),
+        (plus_u1, ("check", "--space", "cpn:2", "--expr", "c1", "--xi", "0,1,2"), "3*u1 is not homogeneous of degree -1"),
         (plus_one, ("integrate", "--space", "cpn:1", "--expr", "c1^2"), "2 is not homogeneous of degree 1"),
         (plus_one, ("check", "--space", "cpn:1", "--expr", "c1^2"), "2 is not homogeneous of degree 1"),
     ],
@@ -442,6 +443,33 @@ def test_internal_error_exit_5(capsys, monkeypatch, sabotage, argv, message, as_
         assert json.loads(out) == {"format": 1, "status": "error", "error": err[7:-1]}
     else:
         assert out == ""
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_any_other_exception_exits_5_without_traceback(capsys, monkeypatch, as_json):
+    def broken(point, expr, rank):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(LOCALIZE, "point_term", broken)
+    argv = ["integrate", "--space", "cpn:2", "--expr", "c1^2", "--top"]
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert code == EXIT_INTERNAL
+    assert err == "error: internal error: KeyError: 'lost'\n"
+    if as_json:
+        assert json.loads(out) == {"format": 1, "status": "error", "error": err[7:-1]}
+    else:
+        assert out == ""
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # both cost more to import than the package itself
+    code = (
+        "import sys; before = set(sys.modules); import torusloc.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_bad_xi_exit_2(capsys):

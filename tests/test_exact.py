@@ -487,6 +487,11 @@ def test_integral_fraction_stored_as_int():
 def test_no_float_or_bool_coefficients():
     p = Polynomial(1, {(0,): True})
     assert type(p.terms[(0,)]) is int
+    # arithmetic with a bare constant stores it the same way
+    for q in (u1 + True, True * u1, u1 - Fraction(4, 2)):
+        assert all(type(c) is int for c in q.terms.values())
+    assert (u1 + Fraction(1, 2)).terms == {(1, 0): 1, (0, 0): Fraction(1, 2)}
+    assert u1 * 0 == Polynomial.zero(2) and not (u1 * 0).terms
     with pytest.raises(TypeError):
         Polynomial(1, {(1,): 0.5})
 

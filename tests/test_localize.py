@@ -1,14 +1,18 @@
 """Localization sums: polynomiality, integrals, Euler characteristics."""
 
 import importlib
+import operator
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusloc import (
     DegreeMismatch,
+    ChernClass,
     EulerClass,
     FactoredRational,
     FixedPoint,
@@ -25,10 +29,19 @@ from torusloc import (
     localize,
     parse,
 )
+from torusloc.classexpr import Sum
 from torusloc.localize import point_term
 from torusloc.spaces import projective_space, product, sphere_rotation
 
-from support import cohomological_degrees, random_homogeneous_expr, specialize, variable
+from support import (
+    cohomological_degrees,
+    random_homogeneous_expr,
+    reference_localize,
+    specialize,
+    variable,
+)
+
+LOCALIZE = importlib.import_module("torusloc.localize")
 
 
 def hopf_index_sum(indices):
@@ -105,7 +118,8 @@ def test_check_vanishing_raises_on_a_nonzero_value(monkeypatch):
         return point_term(point, expr, rank) + FactoredRational(variable(rank, 0))
 
     monkeypatch.setattr(localize_module, "point_term", plus_u1)
-    with pytest.raises(AssertionError, match=r"3\*u1 is not homogeneous of degree -1"):
+    # the sum runs in u1 - u3, u2 - u3 (u3 is eliminated); the message shows the full rank
+    with pytest.raises(AssertionError, match=r"3\*u1 - 3\*u3 is not homogeneous of degree -1"):
         check_vanishing(projective_space(2), "c1")
 
 
@@ -227,3 +241,228 @@ def test_point_term_scalar_six_gives_fraction_coefficients():
     assert not term.denominator
     assert term.numerator.terms == {(0,): Fraction(25, 6)}
     assert type(term.numerator.terms[(0,)]) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# the effective torus: the sum runs in the coordinates the weights use
+
+
+def with_weights(problem, transform, signs=None):
+    """The problem with every weight vector replaced by transform(vector), and
+    the point signs replaced by `signs` when given."""
+    signs = signs or [point.sign for point in problem.points]
+    points = tuple(
+        FixedPoint(point.label, [transform(w.components) for w in point.weights], sign)
+        for point, sign in zip(problem.points, signs)
+    )
+    return LocalizationProblem(problem.rank, problem.half_dim, points)
+
+
+FACTORS = {
+    "sphere": sphere_rotation,
+    "cpn:1": lambda: projective_space(1),
+    "cpn:2": lambda: projective_space(2),
+    "cpn:3": lambda: projective_space(3),
+}
+
+
+@st.composite
+def built_in_spaces(draw):
+    """A built-in space or a product of up to three of them, of dimension <= 8."""
+    names = draw(st.lists(st.sampled_from(sorted(FACTORS)), min_size=1, max_size=3))
+    problem = FACTORS[names[0]]()
+    for name in names[1:]:
+        factor = FACTORS[name]()
+        if problem.half_dim + factor.half_dim <= 4:
+            problem = product(problem, factor)
+    return problem
+
+
+@st.composite
+def unimodular(draw, rank):
+    """A random integer matrix of determinant +-1, as a list of rows."""
+    matrix = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, rank - 1)), draw(st.integers(0, rank - 1))
+        if i == j:
+            matrix[i] = [-x for x in matrix[i]]
+        else:
+            c = draw(st.sampled_from((-2, -1, 1, 2)))
+            matrix[i] = [x + c * y for x, y in zip(matrix[i], matrix[j])]
+    return matrix
+
+
+def outcome(evaluate, problem, expr):
+    try:
+        value, terms = evaluate(problem, expr)
+    except NotPolynomialError as error:
+        return "NotPolynomialError", str(error.fraction), error.per_point
+    except Exception as error:  # the class is what is compared
+        return type(error).__name__, None, None
+    return "value", value, terms
+
+
+def localized(problem, expr):
+    result = localize(problem, expr)
+    return result.value, result.per_point_terms
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_effective_torus_sum_equals_the_full_rank_sum(data):
+    problem = data.draw(built_in_spaces())
+    rank = problem.rank
+    change = data.draw(st.sampled_from(("none", "unimodular", "permute")))
+    if change == "unimodular":
+        # kernels whose vectors may have no entry +-1
+        columns = list(zip(*data.draw(unimodular(rank))))
+        problem = with_weights(problem, lambda w: [sum(map(operator.mul, w, c)) for c in columns])
+    elif change == "permute":
+        order = data.draw(st.permutations(range(rank)))
+        problem = with_weights(problem, lambda w: [w[i] for i in order])
+    if data.draw(st.booleans()):
+        count = len(problem.points)
+        signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=count, max_size=count))
+        problem = with_weights(problem, lambda w: w, signs)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    expr = random_homogeneous_expr(rng, problem.half_dim, rng.randint(0, problem.half_dim + 1))
+    if data.draw(st.integers(0, 9)) == 0:
+        expr = Sum(expr, Sum(ChernClass(1), ChernClass(2)))  # inhomogeneous
+    expected = outcome(reference_localize, problem, expr)
+    assert outcome(localized, problem, expr) == expected
+    if change == "permute" and expected[0] == "value":
+        # permuting the coordinates of the weights permutes the variables of the value
+        inverse = [order.index(i) for i in range(rank)]
+        unpermuted = localize(with_weights(problem, lambda w: [w[i] for i in inverse]), expr)
+        assert expected[1].terms == {
+            tuple(e[i] for i in order): c for e, c in unpermuted.value.terms.items()
+        }
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_effective_torus_sum_with_no_weights(rank):
+    points = (FixedPoint("a", (), 1), FixedPoint("b", (), -1), FixedPoint("c", (), 1))
+    problem = LocalizationProblem(rank, 0, points)
+    for text in ("3", "2^2 - 1"):
+        assert outcome(localized, problem, parse(text)) == outcome(
+            reference_localize, problem, parse(text)
+        )
+
+
+# CP^1 along the circle whose weights are multiples of (3, -2): the kernel is
+# spanned by (2, 3), which has no entry +-1, so no coordinate can be dropped
+KERNEL_2_3 = LocalizationProblem(
+    2, 1, (FixedPoint("p", ((3, -2),), 1), FixedPoint("q", ((-3, 2),), 1))
+)
+
+
+@pytest.mark.parametrize(
+    "problem, summed_rank",
+    [
+        (projective_space(1), 1),
+        (projective_space(2), 2),
+        (projective_space(4), 4),
+        (product(projective_space(2), projective_space(3)), 5),
+        (product(projective_space(1), product(projective_space(1), projective_space(1))), 3),
+        (product(sphere_rotation(), sphere_rotation()), 2),
+        (KERNEL_2_3, 2),
+        (product(KERNEL_2_3, projective_space(1)), 3),
+    ],
+)
+def test_summed_rank_is_the_effective_rank(monkeypatch, problem, summed_rank):
+    ranks = []
+
+    def spy(point, expr, rank):
+        ranks.append(rank)
+        return point_term(point, expr, rank)
+
+    monkeypatch.setattr(LOCALIZE, "point_term", spy)
+    result = localize(problem, EulerClass())
+    assert set(ranks) == {summed_rank}
+    assert result.value == Polynomial.constant(problem.rank, len(problem.points))
+
+
+def test_rank_one_and_weightless_problems_run_no_elimination(monkeypatch):
+    def refuse(vectors, rank):
+        raise AssertionError("elimination ran")
+
+    monkeypatch.setattr(LOCALIZE, "_effective_coordinates", refuse)
+    assert euler_characteristic(sphere_rotation()) == 2
+    assert integrate_top(circle_reduce(projective_space(3), (0, 1, 2, 3)), "c1^3") == 64
+    weightless = LocalizationProblem(3, 0, (FixedPoint("a", (), 1),))
+    assert localize(weightless, "5").value == Polynomial.constant(3, 5)
+
+
+def test_per_point_terms_are_mapped_back_on_the_first_read_only(monkeypatch):
+    substitute = LOCALIZE._substitute_fraction
+    calls = []
+
+    def counted(fraction, images):
+        calls.append(fraction)
+        return substitute(fraction, images)
+
+    monkeypatch.setattr(LOCALIZE, "_substitute_fraction", counted)
+    assert integrate_top(projective_space(3), "c1^3") == 64
+    assert calls == []
+    result = localize(projective_space(2), "c1^3")
+    assert calls == []
+    terms = result.per_point_terms
+    assert len(calls) == 3 and result.per_point_terms is terms
+    assert terms == reference_localize(projective_space(2), parse("c1^3"))[1]
+    assert all(term.rank == 3 for _, term in terms)
+
+
+def test_coordinates_dropped_together_map_back_together():
+    # CP^1 x CP^1 after a change of coordinates, where u2 and u3 are dropped
+    # with the kernel vectors (-1, 1, 0, 2) and (-1, 0, 1, 2): the first basis
+    # vector found must be cleared at the coordinate the second one drops
+    columns = [(1, 0, 0, 1), (1, 0, 1, 0), (0, -1, 1, 0), (0, 0, 0, 1)]
+    problem = with_weights(
+        product(projective_space(1), projective_space(1)),
+        lambda w: [sum(map(operator.mul, w, c)) for c in columns],
+    )
+    for text in ("c1^2", "c1^3", "c1^2*c2", "c2^2 - e*c1^2"):
+        result = localize(problem, text)
+        expected = reference_localize(problem, parse(text))
+        assert (result.value, result.per_point_terms) == expected
+
+
+# weights along (2, -1): the kernel (1, 2) drops u1, before the kept u2
+KERNEL_1_2 = LocalizationProblem(
+    2, 1, (FixedPoint("p", ((2, -1),), 1), FixedPoint("q", ((-2, 1),), 1))
+)
+
+
+@pytest.mark.parametrize(
+    "problem, summed_rank",
+    [
+        (KERNEL_1_2, 1),
+        # each point carries its form twice: an even power keeps the numerator's sign
+        (
+            LocalizationProblem(
+                2,
+                2,
+                (FixedPoint("p", ((2, -1), (2, -1)), 1), FixedPoint("q", ((-2, 1), (-2, 1)), 1)),
+            ),
+            1,
+        ),
+        (product(KERNEL_1_2, projective_space(2)), 3),
+    ],
+)
+def test_mapped_back_forms_take_the_canonical_sign(monkeypatch, problem, summed_rank):
+    # the sum runs in v = u2 - 2*u1 (u1 is dropped), where the form v is
+    # canonical; its image -2*u1 + u2 is not, so it is negated, and so is the
+    # numerator once per odd power
+    ranks = set()
+    monkeypatch.setattr(
+        LOCALIZE, "point_term", lambda p, e, r: ranks.add(r) or point_term(p, e, r)
+    )
+    flipped = with_weights(problem, lambda w: w, [-1] + [1] * (len(problem.points) - 1))
+    raised = set()
+    for data in (problem, flipped):
+        for text in ("1", "c1", "c1^2", "c1^3", "c2*c1", "e"):
+            expected = outcome(reference_localize, data, parse(text))
+            assert outcome(localized, data, parse(text)) == expected
+            raised.add(expected[0])
+    assert raised == {"value", "NotPolynomialError"}
+    assert ranks == {summed_rank}
