@@ -27,12 +27,14 @@ of term dicts, from addition to synthetic division, runs through one kernel,
 deletes a sum as soon as it reaches zero, so no stored term dict ever holds a
 zero coefficient.
 
-A localization sum can run in fewer variables than the torus rank: when the
-weights have an integer kernel vector k with k_f = 1, the coordinate u_f is
-dropped (`_effective_coordinates`), and a result over the kept coordinates v
-maps back by the integer substitution v_j -> u_j - sum_f k_j*u_f
-(`_substitute`, and `_substitute_fraction`, which keeps a reduced fraction
-reduced and its forms canonical).
+A localization sum can run in fewer variables than the torus rank: unimodular
+column operations give a Z-basis of the weights' integer kernel, and each
+basis vector k with an entry k_f = 1 drops the coordinate u_f
+(`_effective_coordinates`; a kernel with no entry +-1, such as the span of
+(3, -2), drops nothing, as that needs a Hermite-form change of basis).  A
+result over the kept coordinates v maps back by the integer substitution
+v_j -> u_j - sum_f k_j*u_f (`_substitute`, and `_substitute_fraction`, which
+keeps a reduced fraction reduced and its forms canonical).
 
 Conventions: monomial u1^e1 * ... * ul^el has cohomological degree
 2*(e1 + ... + el), and the canonical term order is graded lexicographic with
@@ -44,7 +46,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 _FIELD = 32  # bits per exponent field of a packed key
 _FIELD_MASK = (1 << _FIELD) - 1
@@ -615,14 +617,6 @@ class FactoredRational:
         return f"FactoredRational({self})"
 
 
-def _clear(row, other, pivot):
-    # row - (row[pivot] / other[pivot]) * other, scaled to integer content 1
-    a, b = other[pivot], row[pivot]
-    row = [a * x - b * y for x, y in zip(row, other)]
-    content = gcd(*row)
-    return [x // content for x in row] if content > 1 else row
-
-
 def _effective_coordinates(vectors, rank):
     # The coordinates a sum over these integer vectors can do without.
     # Coordinate f can be dropped when an integer kernel vector k of the
@@ -631,42 +625,36 @@ def _effective_coordinates(vectors, rank):
     # Returns {j: image_j} over the kept j, in order, where image_j is 1 at j
     # and -k[j] at each dropped f, so that v_j -> image_j . u sends the form
     # of a vector over the kept coordinates to its form over all of them; {}
-    # when no coordinate can be dropped.  A kernel basis is read off an
-    # integer row echelon form of the vectors; then each basis vector in turn,
-    # cleared at the coordinates already dropped, drops its last entry +-1.
-    rows = {}  # pivot -> row; each row is 0 at every other row's pivot
+    # when no coordinate can be dropped.  Euclid on each vector's pairings
+    # with the identity columns (subtract multiples of the column pairing
+    # least) leaves one column pairing nonzero, which is deleted: the rest
+    # are a Z-basis of the kernel.  Each basis vector in turn, cleared at the
+    # coordinates already dropped, then drops its last entry +-1.
+    kernel = [[int(i == j) for i in range(rank)] for j in range(rank)]
     for vector in vectors:
-        row = list(vector)
-        for pivot, other in rows.items():
-            if row[pivot]:
-                row = _clear(row, other, pivot)
-        if any(row):
-            pivot = next(j for j, c in enumerate(row) if c)
-            for other_pivot, other in rows.items():
-                if other[pivot]:
-                    rows[other_pivot] = _clear(other, row, pivot)
-            rows[pivot] = row
-            if len(rows) == rank:
-                return {}
-    dropped = {}  # f -> k
-    for free in range(rank):
-        if free in rows:
-            continue
-        scale = lcm(*(row[pivot] for pivot, row in rows.items()))
-        k = [0] * rank
-        k[free] = scale
-        for pivot, row in rows.items():
-            k[pivot] = -row[free] * scale // row[pivot]
-        k = list(_primitive(k)[0])
+        pairings = [sum(map(operator.mul, vector, k)) for k in kernel]
+        live = [i for i, p in enumerate(pairings) if p]
+        while len(live) > 1:
+            least = min(live, key=lambda i: abs(pairings[i]))
+            for i in live:
+                if i != least:
+                    q = pairings[i] // pairings[least]
+                    kernel[i] = [x - q * y for x, y in zip(kernel[i], kernel[least])]
+                    pairings[i] -= q * pairings[least]
+            live = [i for i in live if pairings[i]]
+        if live:
+            del kernel[live[0]]
+    dropped = {}  # f -> k, with k[f] == 1 and k[g] == 0 at every other dropped g
+    for k in kernel:
         for f, other in dropped.items():
-            if k[f]:
-                k = _clear(k, other, f)
+            m = k[f]
+            k = [x - m * y for x, y in zip(k, other)]
         f = next((j for j in reversed(range(rank)) if k[j] in (1, -1)), None)
         if f is not None:
             k = [c * k[f] for c in k]
             for g, other in dropped.items():
-                if other[f]:
-                    dropped[g] = _clear(other, k, f)
+                m = other[f]
+                dropped[g] = [x - m * y for x, y in zip(other, k)]
             dropped[f] = k
     if not dropped:
         return {}
@@ -695,8 +683,6 @@ def _substitute(p, images):
     for key, coefficient in p._terms.items():
         terms[sum(((key >> old) & _FIELD_MASK) << new for old, new in moves)] = coefficient
     for j, image in images.items():
-        if image.count(0) == rank - 1:
-            continue
         shift = _shift(rank, j)
         slices = {}  # exponent d of u_j -> the terms with u_j^d, u_j^d removed
         for key, coefficient in terms.items():
@@ -710,9 +696,9 @@ def _substitute(p, images):
 
 def _substitute_fraction(fraction, images):
     # _substitute on a reduced fraction, which stays reduced: each form maps to
-    # a primitive form (its kept entries are the old ones), negated to the
-    # canonical sign when it starts at a dropped coordinate, and the numerator
-    # changes sign once for each such form of odd multiplicity
+    # a primitive vector (its kept entries are the old ones), so `_primitive`
+    # only fixes its sign, and the numerator changes sign once for each form
+    # negated at an odd multiplicity
     if not images:
         return fraction
     numerator = _substitute(fraction.numerator, images)
@@ -723,8 +709,7 @@ def _substitute_fraction(fraction, images):
         for a, image in zip(form, images.values()):
             if a:
                 full = [x + a * y for x, y in zip(full, image)]
-        if next(filter(None, full)) < 0:
-            full = [-x for x in full]
-            negate ^= multiplicity % 2 == 1
-        denominator[tuple(full)] = multiplicity
+        full, sign = _primitive(full)
+        negate ^= sign < 0 and multiplicity % 2 == 1
+        denominator[full] = multiplicity
     return FactoredRational._raw(-numerator if negate else numerator, denominator)

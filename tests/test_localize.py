@@ -4,6 +4,7 @@ import importlib
 import operator
 import random
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 import pytest
@@ -30,6 +31,7 @@ from torusloc import (
     parse,
 )
 from torusloc.classexpr import Sum
+from torusloc.exact import _effective_coordinates
 from torusloc.localize import point_term
 from torusloc.spaces import projective_space, product, sphere_rotation
 
@@ -267,15 +269,20 @@ FACTORS = {
 
 
 @st.composite
-def built_in_spaces(draw):
-    """A built-in space or a product of up to three of them, of dimension <= 8."""
+def built_in_factors(draw):
+    """Up to three built-in spaces whose product has dimension <= 8."""
     names = draw(st.lists(st.sampled_from(sorted(FACTORS)), min_size=1, max_size=3))
-    problem = FACTORS[names[0]]()
+    factors = [FACTORS[names[0]]()]
     for name in names[1:]:
         factor = FACTORS[name]()
-        if problem.half_dim + factor.half_dim <= 4:
-            problem = product(problem, factor)
-    return problem
+        if sum(f.half_dim for f in factors) + factor.half_dim <= 4:
+            factors.append(factor)
+    return factors
+
+
+def built_in_spaces():
+    """A built-in space or a product of up to three of them, of dimension <= 8."""
+    return built_in_factors().map(lambda factors: reduce(product, factors))
 
 
 @st.composite
@@ -356,6 +363,27 @@ KERNEL_2_3 = LocalizationProblem(
 )
 
 
+# CP^1 x CP^2 after a unimodular change of coordinates, of lattice rank 3: the
+# point (i, j) has the CP^1 weight at i and the CP^2 weights at j.  Its kernel
+# vectors (2, 2, 1, 0, -2) and (-1, -1, 0, 1, 3) drop u3 and u4 together.
+_W, _A, _B, _C = (-1, 1, 0, 0, 0), (-1, 0, 0, 2, -1), (0, 1, -2, 1, 0), (1, 1, -2, -1, 1)
+
+
+def _negated(vector):
+    return tuple(-x for x in vector)
+
+
+CP1_CP2_CHANGED = LocalizationProblem(
+    5,
+    3,
+    tuple(
+        FixedPoint(f"({i},{j})", (cp1, *cp2), 1)
+        for i, cp1 in enumerate((_W, _negated(_W)))
+        for j, cp2 in enumerate(((_A, _B), (_negated(_A), _C), (_negated(_B), _negated(_C))))
+    ),
+)
+
+
 @pytest.mark.parametrize(
     "problem, summed_rank",
     [
@@ -367,6 +395,7 @@ KERNEL_2_3 = LocalizationProblem(
         (product(sphere_rotation(), sphere_rotation()), 2),
         (KERNEL_2_3, 2),
         (product(KERNEL_2_3, projective_space(1)), 3),
+        (CP1_CP2_CHANGED, 3),
     ],
 )
 def test_summed_rank_is_the_effective_rank(monkeypatch, problem, summed_rank):
@@ -380,6 +409,73 @@ def test_summed_rank_is_the_effective_rank(monkeypatch, problem, summed_rank):
     result = localize(problem, EulerClass())
     assert set(ranks) == {summed_rank}
     assert result.value == Polynomial.constant(problem.rank, len(problem.points))
+
+
+@pytest.mark.parametrize("text", ["c1^3", "c1*c2", "c3", "e", "c1^4"])
+def test_changed_cp1_cp2_sum_equals_the_full_rank_sum(text):
+    result = localize(CP1_CP2_CHANGED, text)
+    expected = reference_localize(CP1_CP2_CHANGED, parse(text))
+    assert (result.value, result.per_point_terms) == expected
+
+
+def rational_rank(vectors):
+    """The rank over Q of a list of integer vectors, by Gaussian elimination."""
+    rows, rank = [list(map(Fraction, v)) for v in vectors], 0
+    while rows:
+        pivot = rows.pop()
+        if any(pivot):
+            c = next(i for i, x in enumerate(pivot) if x)
+            rows = [[x - r[c] / pivot[c] * y for x, y in zip(r, pivot)] for r in rows]
+            rank += 1
+    return rank
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(vectors, rank, dropped): the weight vectors of a built-in space or a
+    product, maybe under a unimodular or permutation change, or a random set of
+    small integer vectors; `dropped` is the set of coordinates a built-in space
+    left unchanged drops (the last one of each CP^n factor), else None."""
+    if draw(st.booleans()):
+        rank = draw(st.integers(1, 5))
+        vector = st.tuples(*[st.integers(-3, 3)] * rank)
+        return draw(st.lists(vector, max_size=6)), rank, None
+    factors = draw(built_in_factors())
+    problem = reduce(product, factors)
+    rank = problem.rank
+    vectors = {w.components for point in problem.points for w in point.weights}
+    change = draw(st.sampled_from(("none", "unimodular", "permute")))
+    if change == "unimodular":
+        columns = list(zip(*draw(unimodular(rank))))
+        vectors = {tuple(sum(map(operator.mul, v, c)) for c in columns) for v in vectors}
+    elif change == "permute":
+        order = draw(st.permutations(range(rank)))
+        vectors = {tuple(v[i] for i in order) for v in vectors}
+    if change != "none":
+        return vectors, rank, None
+    ends, dropped = 0, set()
+    for factor in factors:
+        ends += factor.rank
+        if factor.rank > factor.half_dim:  # CP^n: rank n + 1
+            dropped.add(ends - 1)
+    return vectors, rank, dropped
+
+
+@given(kernel_inputs())
+@settings(max_examples=300, deadline=None)
+def test_effective_coordinates_map_every_vector_back(case):
+    vectors, rank, dropped = case
+    images = _effective_coordinates(vectors, rank) or {
+        j: tuple(int(i == j) for i in range(rank)) for j in range(rank)
+    }
+    for j, image in images.items():
+        assert [image[i] for i in images] == [int(i == j) for i in images]
+    for v in vectors:
+        assert list(v) == [sum(v[j] * image[i] for j, image in images.items()) for i in range(rank)]
+    assert len(images) >= rational_rank(vectors)
+    if dropped is not None:
+        assert set(range(rank)) - set(images) == dropped
+        assert len(images) == rational_rank(vectors)
 
 
 def test_rank_one_and_weightless_problems_run_no_elimination(monkeypatch):
