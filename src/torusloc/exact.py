@@ -33,8 +33,10 @@ basis vector k with an entry k_f = 1 drops the coordinate u_f
 (`_effective_coordinates`; a kernel with no entry +-1, such as the span of
 (3, -2), drops nothing, as that needs a Hermite-form change of basis).  A
 result over the kept coordinates v maps back by the integer substitution
-v_j -> u_j - sum_f k_j*u_f (`_substitute`, and `_substitute_fraction`, which
-keeps a reduced fraction reduced and its forms canonical).
+v_j -> u_j - sum_f k_j*u_f (`_substitute`: binomial at one kept coordinate,
+Horner above; `_substitute_fraction` keeps a reduced fraction reduced and its
+forms canonical).  A localization's terms and its NotPolynomialError's data
+are mapped back on their first read only (`_mapped_back`).
 
 Conventions: monomial u1^e1 * ... * ul^el has cohomological degree
 2*(e1 + ... + el), and the canonical term order is graded lexicographic with
@@ -46,7 +48,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 _FIELD = 32  # bits per exponent field of a packed key
 _FIELD_MASK = (1 << _FIELD) - 1
@@ -61,16 +63,29 @@ class NotPolynomialError(Exception):
     """A factored rational that should have cancelled to a polynomial did not.
 
     Carries the offending fraction in `fraction`, and the per-fixed-point
-    terms in `per_point` when raised from a localization sum.
+    terms in `per_point` when raised from a localization sum, over the kept
+    coordinates of `images` until the first read of `fraction`, `per_point`,
+    `args`, `str`, `repr` or a pickle maps both back to the full rank, once.
     """
 
-    def __init__(self, fraction, per_point=None):
-        self.fraction = fraction
-        self.per_point = per_point
-        super().__init__(fraction, per_point)
+    def __init__(self, fraction, per_point=None, images={}):  # read, never mutated
+        self._args, self._images = (fraction, per_point), images
+
+    @property
+    def args(self):
+        return _mapped_back(self, "_args")
+
+    fraction = property(lambda self: self.args[0])
+    per_point = property(lambda self: self.args[1])
 
     def __str__(self):  # rendered on demand: an error replaced unread costs nothing
         return f"denominator factors survive cancellation: {self.fraction}"
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self.args!r}"
+
+    def __reduce__(self):
+        return type(self), self.args
 
 
 def _shift(rank, index):
@@ -78,16 +93,11 @@ def _shift(rank, index):
     return _FIELD * (rank - 1 - index)
 
 
-def _shifts(rank):
-    # bit offset of each variable's field, u1 first
-    return range(_shift(rank, 0), -1, -_FIELD)
-
-
 @lru_cache(maxsize=None)
 def _invalid_bits(rank):
     # every bit that a valid key of this rank leaves clear: the guard bit of
     # each field and everything above the u1 field
-    return ~sum(MAX_EXPONENT << shift for shift in _shifts(rank))
+    return ~(MAX_EXPONENT * (((1 << (_FIELD * rank)) - 1) // _FIELD_MASK))
 
 
 def _encode(exponents):
@@ -98,7 +108,8 @@ def _encode(exponents):
 
 
 def _decode(key, rank):
-    return tuple((key >> shift) & _FIELD_MASK for shift in _shifts(rank))
+    # the exponents of u1, ..., ul, field by field from the most significant one
+    return tuple((key >> shift) & _FIELD_MASK for shift in range(_shift(rank, 0), -1, -_FIELD))
 
 
 def _accumulate(result, terms, shift, scale):
@@ -223,6 +234,9 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return Polynomial._raw, (self.rank, dict(self._terms))
 
     @classmethod
     def _raw(cls, rank, terms):
@@ -545,6 +559,9 @@ class FactoredRational:
     def __setattr__(self, name, value):
         raise AttributeError("FactoredRational is immutable")
 
+    def __reduce__(self):
+        return FactoredRational._raw, (self.numerator, self.denominator)
+
     @classmethod
     def _raw(cls, numerator, denominator):
         # internal fast path: numerator / denominator is already fully cancelled
@@ -672,12 +689,24 @@ def _effective_coordinates(vectors, rank):
 def _substitute(p, images):
     # p(v_1, ..., v_r) at v_i = image . u for the i-th (kept coordinate j,
     # image) of `images` (see _effective_coordinates), a polynomial of the
-    # full rank; p itself when `images` is {}.  The exponent of v_i moves to
-    # the field of u_j, then u_j -> image . u by Horner's rule in u_j, which
-    # only brings in dropped coordinates.
+    # full rank; p itself when `images` is {}.  image = u_j + b, b over dropped
+    # coordinates only.  At r = 1, c_d*(u_j + b)^d expands by the binomial
+    # theorem over b's powers, built once.  Above it, where that costs more,
+    # v_i moves to the field of u_j, then u_j -> image . u by Horner's rule.
     if not images:
         return p
     rank = len(next(iter(images.values())))
+    if p.rank == 1:
+        ((j, image),) = images.items()
+        b = tuple(0 if i == j else a for i, a in enumerate(image))
+        powers = [{0: 1}]  # b^i; a rank-1 key is its exponent
+        for _ in range(max(p._terms, default=0)):
+            powers.append(_add_times({}, powers[-1], b))
+        terms, shift = {}, _shift(rank, j)
+        for d, coefficient in p._terms.items():
+            for i in range(d + 1):
+                _accumulate(terms, powers[i], (d - i) << shift, coefficient * comb(d, i))
+        return Polynomial._raw(rank, terms)
     moves = [(_shift(p.rank, i), _shift(rank, j)) for i, j in enumerate(images)]
     terms = {}
     for key, coefficient in p._terms.items():
@@ -713,3 +742,19 @@ def _substitute_fraction(fraction, images):
         negate ^= sign < 0 and multiplicity % 2 == 1
         denominator[full] = multiplicity
     return FactoredRational._raw(-numerator if negate else numerator, denominator)
+
+
+def _substitute_all(value, images):
+    # _substitute_fraction on each fraction in a tuple tree; labels and None pass
+    if isinstance(value, tuple):
+        return tuple(_substitute_all(item, images) for item in value)
+    return _substitute_fraction(value, images) if isinstance(value, FactoredRational) else value
+
+
+def _mapped_back(owner, name):
+    # owner.<name>, held over the coordinates that owner._images keeps ({}:
+    # all of them) until this first read maps it back to the full rank, once
+    if owner._images:
+        object.__setattr__(owner, name, _substitute_all(getattr(owner, name), owner._images))
+        object.__setattr__(owner, "_images", {})
+    return getattr(owner, name)

@@ -16,7 +16,8 @@ coordinates it keeps, and maps the value back to Q[u1, ..., ul] by the
 substitution v_j -> u_j - sum_f k_j*u_f.  The substitution is injective and
 linear, so cancellation, reduced terms and the degree law are the same in
 either ring, and every output is the one the full-rank sum gives.  The
-per-point terms are mapped back when they are first read.
+per-point terms and a NotPolynomialError's residual and terms are mapped back
+on their first read; at r = 1 by the binomial theorem, above it by Horner.
 
 The rules built on the sum live here once, not in the command line:
 the degree gates (== dim M for `localize_top`, < dim M for
@@ -36,9 +37,9 @@ from .exact import (
     FactoredRational,
     NotPolynomialError,
     _effective_coordinates,
+    _mapped_back,
     _Record,
     _substitute,
-    _substitute_fraction,
 )
 
 
@@ -72,11 +73,7 @@ class LocalizationResult(_Record):
     @property
     def per_point_terms(self):
         """(label, FactoredRational) per fixed point, mapped back on the first read."""
-        if self._images:
-            terms = _substitute_terms(self._terms, self._images)
-            object.__setattr__(self, "_terms", terms)
-            object.__setattr__(self, "_images", {})
-        return self._terms
+        return _mapped_back(self, "_terms")
 
 
 def _as_expr(expr):
@@ -95,19 +92,16 @@ def point_term(point, expr, rank):
     return FactoredRational(numerator, denominator)
 
 
-def _substitute_terms(terms, images):
-    return tuple((label, _substitute_fraction(term, images)) for label, term in terms)
-
-
 def localize(problem, expr):
     """Evaluate the localization sum and certify that it is a polynomial.
 
     `expr` may be a ClassExpr or expression text.  Terms are added pairwise
     in input order, over the effective torus (see the module docstring).
-    Raises NotPolynomialError with per-point terms attached
-    when the denominators fail to cancel, and InhomogeneousExpression for an
-    expression without a single degree.  It alone checks the degree law, and
-    raises AssertionError for a term not of degree (class_degree - dimension)/2.
+    Raises NotPolynomialError with per-point terms attached (mapped back on
+    the first read) when the denominators fail to cancel, and
+    InhomogeneousExpression for an expression without a single degree.  It
+    alone checks the degree law, and raises AssertionError for a term not of
+    degree (class_degree - dimension)/2.
     """
     validate(problem)
     expr = _as_expr(expr)
@@ -133,9 +127,7 @@ def localize(problem, expr):
     try:
         value = total.as_polynomial()
     except NotPolynomialError:
-        raise NotPolynomialError(
-            _substitute_fraction(total, images), per_point=_substitute_terms(terms, images)
-        ) from None
+        raise NotPolynomialError(total, terms, images) from None
     d = (class_degree - problem.dimension) // 2
     homogeneous = all(sum(exponents) == d for exponents in value.terms)
     value = _substitute(value, images)

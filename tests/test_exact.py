@@ -3,13 +3,14 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torusloc import FactoredRational, NotPolynomialError, Polynomial, RankMismatch, Weight, linear_divide
-from torusloc.exact import _elementary_symmetric, _times_form
+from torusloc.exact import _effective_coordinates, _elementary_symmetric, _substitute, _times_form
 
 from support import (
     linear_polynomial,
@@ -404,6 +405,38 @@ def rational_fractions(rank):
         rational_polynomials(rank),
         st.dictionaries(linear_forms(rank, 5), st.integers(1, 2), max_size=2),
     ).map(lambda pair: FactoredRational(*pair))
+
+
+@st.composite
+def rank_one_images(draw):
+    """{j: image} with one kept coordinate j, as `_effective_coordinates`
+    returns it: drawn directly (1 at j, anything elsewhere), or from the
+    integer kernel of one weight +-w with w primitive in Z^3, whose rank 2
+    drops two coordinates."""
+    if draw(st.booleans()):
+        rank = draw(st.integers(1, 4))
+        j = draw(st.integers(0, rank - 1))
+        image = [draw(st.integers(-3, 3)) for _ in range(rank)]
+        image[j] = 1
+        return {j: tuple(image)}
+    w = draw(st.tuples(*[st.integers(-4, 4)] * 3).filter(lambda v: gcd(*v) == 1))
+    sign = draw(st.sampled_from((1, -1)))
+    images = _effective_coordinates({tuple(sign * a for a in w)}, 3)
+    assume(len(images) == 1)
+    return images
+
+
+@given(st.dictionaries(st.integers(0, 12), rationals, max_size=5), rank_one_images())
+@example({7: 5, 2: -1, 0: Fraction(3, 2)}, {1: (2, 1, -3)})
+@example({4: 1}, _effective_coordinates({(2, -1, 3)}, 3))
+@settings(deadline=None)
+def test_rank_one_substitute_is_each_power_of_the_image(terms, images):
+    # the binomial expansion at rank 1 against Polynomial arithmetic
+    p = Polynomial(1, {(d,): c for d, c in terms.items()})
+    ((_, image),) = images.items()
+    v = linear_polynomial(image)
+    expected = sum((c * v**d for (d,), c in p.terms.items()), Polynomial.zero(len(image)))
+    assert _substitute(p, images) == expected
 
 
 class TwinIndex:

@@ -2,6 +2,7 @@
 
 import importlib
 import operator
+import pickle
 import random
 from fractions import Fraction
 from functools import reduce
@@ -44,6 +45,7 @@ from support import (
 )
 
 LOCALIZE = importlib.import_module("torusloc.localize")
+EXACT = importlib.import_module("torusloc.exact")
 
 
 def hopf_index_sum(indices):
@@ -489,15 +491,21 @@ def test_rank_one_and_weightless_problems_run_no_elimination(monkeypatch):
     assert localize(weightless, "5").value == Polynomial.constant(3, 5)
 
 
-def test_per_point_terms_are_mapped_back_on_the_first_read_only(monkeypatch):
-    substitute = LOCALIZE._substitute_fraction
+def count_map_backs(monkeypatch):
+    # the list of fractions that the engine maps back to the full rank
+    substitute = EXACT._substitute_fraction
     calls = []
 
     def counted(fraction, images):
         calls.append(fraction)
         return substitute(fraction, images)
 
-    monkeypatch.setattr(LOCALIZE, "_substitute_fraction", counted)
+    monkeypatch.setattr(EXACT, "_substitute_fraction", counted)
+    return calls
+
+
+def test_per_point_terms_are_mapped_back_on_the_first_read_only(monkeypatch):
+    calls = count_map_backs(monkeypatch)
     assert integrate_top(projective_space(3), "c1^3") == 64
     assert calls == []
     result = localize(projective_space(2), "c1^3")
@@ -506,6 +514,39 @@ def test_per_point_terms_are_mapped_back_on_the_first_read_only(monkeypatch):
     assert len(calls) == 3 and result.per_point_terms is terms
     assert terms == reference_localize(projective_space(2), parse("c1^3"))[1]
     assert all(term.rank == 3 for _, term in terms)
+
+
+@pytest.mark.parametrize("first", ["fraction", "per_point"])
+@pytest.mark.parametrize(
+    "space",
+    [projective_space(3), product(projective_space(2), projective_space(2))],
+    ids=["cpn:3", "cpn:2xcpn:2"],
+)
+def test_not_polynomial_error_is_mapped_back_on_the_first_read_only(monkeypatch, space, first):
+    flipped = with_weights(space, lambda w: w, [-1] + [1] * (len(space.points) - 1))
+    expr = parse(f"c1^{space.half_dim}")
+    with pytest.raises(NotPolynomialError) as reference:
+        reference_localize(flipped, expr)
+    calls = count_map_backs(monkeypatch)
+    with pytest.raises(NotPolynomialError) as info:
+        localize(flipped, expr)
+    error, expected = info.value, reference.value
+    assert calls == []
+    getattr(error, first)
+    once = 1 + len(flipped.points)  # the residual and each term
+    assert len(calls) == once
+    reads = (
+        operator.attrgetter("fraction"),
+        operator.attrgetter("per_point"),
+        operator.attrgetter("args"),
+        str,
+        repr,
+    )
+    for read in reads:
+        assert read(error) == read(expected)
+        assert read(pickle.loads(pickle.dumps(error))) == read(expected)
+    assert len(calls) == once
+    assert error.fraction.rank == space.rank
 
 
 def test_coordinates_dropped_together_map_back_together():

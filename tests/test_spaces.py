@@ -14,7 +14,11 @@ from torusloc import (
 from torusloc.spaces import projective_space, product, sphere_rotation
 
 from support import variable
-from test_spaces_oracle import chern_number_oracle, degree_n_monomials
+from test_spaces_oracle import (
+    c1_power_on_projective_line,
+    chern_number_oracle,
+    degree_n_monomials,
+)
 
 
 def test_sphere_structure():
@@ -123,3 +127,11 @@ def test_product_with_point_is_identity():
             w.components + (0,) for w in before.weights
         ]
     assert euler_characteristic(padded) == euler_characteristic(base)
+
+
+def test_c1_powers_on_the_projective_line_match_the_binomial_oracle():
+    # CP^1 sums at effective rank 1, so each value c*v^(k-1) is mapped back
+    # to c*(u1 - u2)^(k-1) by the binomial theorem
+    line = projective_space(1)
+    for k in range(1, 162):
+        assert localize(line, f"c1^{k}").value.terms == c1_power_on_projective_line(k), k

@@ -31,6 +31,18 @@ def chern_number_oracle(n, exponents):
     return value
 
 
+def c1_power_on_projective_line(k):
+    """The equivariant integral of c1^k over CP^1, as {exponents: coefficient}.
+
+    The fixed points carry the tangent weights -t and t, t = u1 - u2, so the
+    sum (-t)^k/(-t) + t^k/t is 2*t^(k-1) for odd k and 0 for even k.
+    """
+    if k % 2 == 0:
+        return {}
+    m = k - 1
+    return {(m - i, i): 2 * (-1) ** i * comb(m, i) for i in range(m + 1)}
+
+
 def test_oracle_sanity():
     assert list(degree_n_monomials(1)) == [(1,)]
     assert sorted(degree_n_monomials(2)) == [(0, 1), (2, 0)]
@@ -41,3 +53,6 @@ def test_oracle_sanity():
     for n in range(1, 6):
         top = tuple(0 if k < n else 1 for k in range(1, n + 1))
         assert chern_number_oracle(n, top) == n + 1
+    assert c1_power_on_projective_line(1) == {(0, 0): 2}
+    assert c1_power_on_projective_line(2) == {}
+    assert c1_power_on_projective_line(3) == {(2, 0): 2, (1, 1): -4, (0, 2): 2}
