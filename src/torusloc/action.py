@@ -142,7 +142,7 @@ def validate(problem):
 
 def _check_nonzero_weights(point):
     for weight in point.weights:
-        if weight.is_zero:
+        if not any(weight.components):
             raise ValueError(f"zero weight at point {point.label!r}")
 
 
@@ -168,17 +168,22 @@ def circle_reduce(problem, direction):
     via NonGenericDirection naming the first annihilated weight.
     """
     direction = tuple(operator.index(x) for x in direction)
-    if len(direction) != problem.rank:
-        raise ValueError(
-            f"direction has length {len(direction)}, problem has rank {problem.rank}"
-        )
+    rank = len(direction)
+    if rank != problem.rank:
+        raise ValueError(f"direction has length {rank}, problem has rank {problem.rank}")
     reduced = []
+    images = {}  # pairing -> its rank-1 Weight: one immutable record per distinct pairing
     for point in problem.points:
         exponents = []
         for weight in point.weights:
-            value = weight.pair(direction)
+            if len(weight.components) != rank:  # an unvalidated problem: zip would truncate
+                raise ValueError(f"direction has length {rank}, weight has rank {weight.rank}")
+            value = sum(map(operator.mul, weight.components, direction))
             if value == 0:
                 raise NonGenericDirection(point.label, weight)
-            exponents.append(Weight((value,)))
-        reduced.append(FixedPoint(point.label, tuple(exponents), point.sign))
-    return LocalizationProblem(1, problem.half_dim, tuple(reduced))
+            image = images.get(value)
+            if image is None:
+                image = images[value] = Weight._raw((value,))
+            exponents.append(image)
+        reduced.append(FixedPoint._raw(point.label, tuple(exponents), point.sign))
+    return LocalizationProblem._raw(1, problem.half_dim, tuple(reduced))

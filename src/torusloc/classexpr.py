@@ -12,6 +12,12 @@ Grammar (whitespace-insensitive, left-associative):
     term   := factor ('*'? factor)*        # juxtaposition multiplies
     factor := atom ('^' uint)?
     atom   := 'c' uint | 'e' | uint | '(' expr ')'
+
+`degree` and `restrict` run an expression compiled by one iterative walk:
+its largest Chern index and its nodes in postorder, evaluated by a
+straight-line loop over a value stack, with no recursion.  Either takes the
+node or the compiled form; `localize` compiles once per call and hands the
+compiled form to every fixed point, so no point walks the tree again.
 """
 
 from __future__ import annotations
@@ -78,8 +84,9 @@ class InhomogeneousExpression(Exception):
 _ATOM_START = "terms must start with 'c<k>', 'e', an unsigned integer, or '('"
 
 # Deepest expression `parse` accepts.  Each operator application and each
-# pair of parentheses is one level, so `degree`, `restrict` and `render`,
-# which recurse once per level, stay well inside Python's recursion limit.
+# pair of parentheses is one level, so `render`, which recurses once per
+# level, stays well inside Python's recursion limit (`degree` and `restrict`
+# run the compiled steps, with no recursion).
 MAX_DEPTH = 600
 
 
@@ -263,6 +270,51 @@ def _render(node, context):
     return text
 
 
+# The opcodes of a compiled step: a leaf or a power; a Sum, Difference or
+# Product step holds its operator instead, applied to the two values below it.
+_LITERAL, _CHERN, _EULER, _POW = "literal", "chern", "euler", "pow"
+_BINARY = {Sum: operator.add, Difference: operator.sub, Product: operator.mul}
+
+
+class _Program(_Record):
+    """An expression compiled by one walk, for `degree` and `restrict`.
+
+    `top` is its largest Chern index (0 when it names none) and `steps` its
+    nodes in postorder, each an (opcode, argument) pair, so evaluating it is
+    one straight-line loop over a value stack.
+    """
+
+    __slots__ = ("top", "steps")
+
+
+def _compile(expr):
+    # the _Program of an expression node by one iterative walk; a _Program
+    # passes through.  The walk visits a node, its right operand and then its
+    # left one, which is the postorder reversed.
+    if isinstance(expr, _Program):
+        return expr
+    steps, top, pending = [], 0, [expr]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ChernClass):
+            top = max(top, node.index)
+            steps.append((_CHERN, node.index))
+        elif isinstance(node, IntegerLiteral):
+            steps.append((_LITERAL, node.value))
+        elif isinstance(node, EulerClass):
+            steps.append((_EULER, None))
+        elif isinstance(node, Power):
+            steps.append((_POW, node.exponent))
+            pending.append(node.base)
+        elif type(node) in _BINARY:
+            steps.append((_BINARY[type(node)], None))
+            pending += (node.left, node.right)
+        else:
+            raise TypeError(f"not a class expression node: {node!r}")
+    steps.reverse()
+    return _Program(top, tuple(steps))
+
+
 def degree(node, half_dim):
     """Cohomological degree of a homogeneous expression.
 
@@ -271,23 +323,23 @@ def degree(node, half_dim):
     disagree.
     """
     half_dim = operator.index(half_dim)
-    if isinstance(node, IntegerLiteral):
-        return 0
-    if isinstance(node, ChernClass):
-        return 2 * node.index
-    if isinstance(node, EulerClass):
-        return 2 * half_dim
-    if isinstance(node, (Sum, Difference)):
-        left = degree(node.left, half_dim)
-        right = degree(node.right, half_dim)
-        if left != right:
-            raise InhomogeneousExpression((left, right))
-        return left
-    if isinstance(node, Product):
-        return degree(node.left, half_dim) + degree(node.right, half_dim)
-    if isinstance(node, Power):
-        return degree(node.base, half_dim) * node.exponent
-    raise TypeError(f"not a class expression node: {node!r}")
+    degrees = []
+    for op, argument in _compile(node).steps:
+        if op is _CHERN:
+            degrees.append(2 * argument)
+        elif op is _POW:
+            degrees[-1] *= argument
+        elif op is _LITERAL:
+            degrees.append(0)
+        elif op is _EULER:
+            degrees.append(2 * half_dim)
+        else:
+            right = degrees.pop()
+            if op is operator.mul:
+                degrees[-1] += right
+            elif degrees[-1] != right:
+                raise InhomogeneousExpression((degrees[-1], right))
+    return degrees[0]
 
 
 def restrict(node, point, rank):
@@ -296,36 +348,26 @@ def restrict(node, point, rank):
     c_k becomes the k-th elementary symmetric polynomial of the tangent
     weights (0 for k above the number of weights), e becomes the point's
     equivariant Euler class, literals become constants.  Evaluation is a
-    ring homomorphism into the rank-`rank` polynomial ring.
+    ring homomorphism into the rank-`rank` polynomial ring.  `node` may also
+    be the compiled form that `localize` builds once and hands to every point.
     """
     _check_nonzero_weights(point)
+    program = _compile(node)
     # only the Chern classes the expression names are built: c_0 .. c_top
-    top, stack = 0, [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, ChernClass):
-            top = max(top, n.index)
-        elif isinstance(n, Power):
-            stack.append(n.base)
-        elif isinstance(n, (Sum, Difference, Product)):
-            stack += (n.left, n.right)
-    symmetric = _elementary_symmetric([w.components for w in point.weights], rank, top)
-
-    def evaluate(n):
-        if isinstance(n, IntegerLiteral):
-            return Polynomial.constant(rank, n.value)
-        if isinstance(n, ChernClass):
-            return symmetric[n.index] if n.index < len(symmetric) else Polynomial.zero(rank)
-        if isinstance(n, EulerClass):
-            return equivariant_euler(point, rank)
-        if isinstance(n, Sum):
-            return evaluate(n.left) + evaluate(n.right)
-        if isinstance(n, Difference):
-            return evaluate(n.left) - evaluate(n.right)
-        if isinstance(n, Product):
-            return evaluate(n.left) * evaluate(n.right)
-        if isinstance(n, Power):
-            return evaluate(n.base) ** n.exponent
-        raise TypeError(f"not a class expression node: {n!r}")
-
-    return evaluate(node)
+    symmetric = _elementary_symmetric([w.components for w in point.weights], rank, program.top)
+    values = []
+    for op, argument in program.steps:
+        if op is _CHERN:
+            values.append(
+                symmetric[argument] if argument < len(symmetric) else Polynomial.zero(rank)
+            )
+        elif op is _POW:
+            values[-1] = values[-1] ** argument
+        elif op is _LITERAL:
+            values.append(Polynomial.constant(rank, argument))
+        elif op is _EULER:
+            values.append(equivariant_euler(point, rank))
+        else:
+            right = values.pop()
+            values[-1] = op(values[-1], right)
+    return values[0]

@@ -169,6 +169,15 @@ class _Record:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _raw(cls, *values):
+        # internal fast path: the fields are already checked and converted, so
+        # the subclass's __init__ is skipped
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
+
     @property
     def _fields(self):
         return self.__slots__
@@ -309,13 +318,24 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
+        # by repeated squaring.  p^k has the degree k*m in every variable in
+        # which p has the degree m (the leading slice of a power in an integral
+        # domain never cancels), so an overflow is known before any product
         exponent = operator.index(exponent)
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.constant(self.rank, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        fields = range(0, _FIELD * self.rank, _FIELD)
+        largest = max(((key >> f) & _FIELD_MASK for key in self._terms for f in fields), default=0)
+        if exponent * largest > MAX_EXPONENT:
+            raise ValueError(f"exponent overflow: an exponent exceeds {MAX_EXPONENT}")
+        result, base = None, self
+        while True:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if not exponent:
+                return Polynomial._raw(self.rank, {0: 1}) if result is None else result
+            base = base * base
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -364,6 +384,10 @@ def _primitive(vector):
     # (form, scalar) for a nonzero integer vector: `form` is the primitive int
     # tuple (coprime entries, the first nonzero one positive) with
     # scalar * form == vector, so proportional vectors share one form
+    if len(vector) == 1:  # the common rank-1 weight (a,): form (1,), scalar a
+        a = operator.index(vector[0])
+        if a:
+            return (1,), a
     vector = tuple(map(operator.index, vector))
     if not any(vector):
         raise ValueError("cannot normalize the zero vector")
@@ -413,25 +437,33 @@ def _times_form(p, vector):
 def _elementary_symmetric(vectors, rank, top):
     # [e_0, ..., e_m], m = min(top, number of vectors), of the linear forms a.u
     # for the integer vectors a, by the recurrence e_j += e_{j-1} * (a.u) on term
-    # dicts in place; multiples a*u_k of one coordinate are grouped by k instead,
-    # and the terms E_i * u_k^i of their integer elementary symmetric numbers E_i
-    # are folded in by key shifts
+    # dicts in place.  Multiples a*u_k of one coordinate are grouped by k
+    # instead, with their integer elementary symmetric numbers E_i updated in
+    # place; the terms E_i * u_k^i are the table itself when no other vector
+    # entered it (always so at rank 1), and are folded in by key shifts otherwise
     table = [{0: 1}]
-    coordinates = {}  # key of u_k -> the entries a of the vectors a*u_k
+    coordinates = {}  # key of u_k -> [E_0, E_1, ...] of the entries a of the vectors a*u_k
     for vector in vectors:
         _check_vector(vector, rank)
         if vector.count(0) == rank - 1:
             entry = sum(vector)
-            coordinates.setdefault(1 << _shift(rank, vector.index(entry)), []).append(entry)
+            step = 1 << _FIELD * (rank - 1 - vector.index(entry))  # u_k's key
+            numbers = coordinates.get(step)
+            if numbers is None:
+                numbers = coordinates[step] = [1]
+            if len(numbers) <= top:
+                numbers.append(0)
+            for i in range(len(numbers) - 1, 0, -1):  # E_i += a * E_{i-1}
+                numbers[i] += entry * numbers[i - 1]
             continue
         if len(table) <= top:
             table.append({})
         for j in range(len(table) - 1, 0, -1):
             _add_times(table[j], table[j - 1], vector)
-    for step, entries in coordinates.items():
-        numbers = [1]
-        for a in entries:  # E_i += a * E_{i-1}
-            numbers = [x + a * y for x, y in zip(numbers + [0], [0] + numbers)][: top + 1]
+    for step, numbers in coordinates.items():
+        if len(table) == 1:  # the table is [1]
+            table = [{i * step: number} if number else {} for i, number in enumerate(numbers)]
+            continue
         folded = [{} for _ in range(min(len(table) + len(numbers) - 2, top) + 1)]
         for i, number in enumerate(numbers):
             for j, terms in enumerate(table[: len(folded) - i] if number else ()):

@@ -19,11 +19,19 @@ either ring, and every output is the one the full-rank sum gives.  The
 per-point terms and a NotPolynomialError's residual and terms are mapped back
 on their first read; at r = 1 by the binomial theorem, above it by Horner.
 
+The expression is compiled once per call (see `classexpr`), and every point
+term restricts the compiled form.  A point term divides the restricted class
+by sign * (product of the weights' integer contents) before the forms
+cancel; that scaling is skipped when the product is 1 and is a negation when
+it is -1.
+
 The rules built on the sum live here once, not in the command line:
 the degree gates (== dim M for `localize_top`, < dim M for
 `check_vanishing`), checked before any point term is evaluated; the
 degree law, checked by `localize` on every value; and the check that the Euler
-characteristic equals the fixed-point count (`localize_euler`).
+characteristic equals the fixed-point count (`localize_euler`).  A gate
+hands its degree to `localize` with the compiled expression, so the degree
+is computed once per call.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import operator
 from fractions import Fraction
 
 from .action import FixedPoint, Weight, validate
-from .classexpr import EulerClass, degree, parse, restrict
+from .classexpr import EulerClass, _compile, degree, parse, restrict
 from .exact import (
     FactoredRational,
     NotPolynomialError,
@@ -76,8 +84,14 @@ class LocalizationResult(_Record):
         return _mapped_back(self, "_terms")
 
 
-def _as_expr(expr):
-    return parse(expr) if isinstance(expr, str) else expr
+class _Gated(_Record):
+    # a compiled expression and its degree, as the degree gate hands them to
+    # localize, which then does not compute the degree again
+    __slots__ = ("program", "class_degree")
+
+
+def _compiled(expr):
+    return _compile(parse(expr) if isinstance(expr, str) else expr)
 
 
 def point_term(point, expr, rank):
@@ -88,7 +102,11 @@ def point_term(point, expr, rank):
         form, s = weight.primitive()
         scalar *= s
         denominator[form] = denominator.get(form, 0) + 1
-    numerator = restrict(expr, point, rank) * Fraction(1, scalar)
+    numerator = restrict(expr, point, rank)
+    if scalar == -1:
+        numerator = -numerator
+    elif scalar != 1:
+        numerator = numerator * Fraction(1, scalar)
     return FactoredRational(numerator, denominator)
 
 
@@ -104,8 +122,11 @@ def localize(problem, expr):
     degree (class_degree - dimension)/2.
     """
     validate(problem)
-    expr = _as_expr(expr)
-    class_degree = degree(expr, problem.half_dim)
+    if isinstance(expr, _Gated):
+        expr, class_degree = expr.program, expr.class_degree
+    else:
+        expr = _compiled(expr)
+        class_degree = degree(expr, problem.half_dim)
     rank, points, images = problem.rank, problem.points, {}
     if rank > 1 and problem.half_dim:
         vectors = {w.components for point in points for w in point.weights}
@@ -141,11 +162,11 @@ _REQUIREMENTS = {"==": operator.eq, "<": operator.lt}
 
 def _require_degree(problem, expr, requirement):
     # the degree gate: runs before any point term is evaluated
-    expr = _as_expr(expr)
-    class_degree = degree(expr, problem.half_dim)
+    program = _compiled(expr)
+    class_degree = degree(program, problem.half_dim)
     if not _REQUIREMENTS[requirement](class_degree, problem.dimension):
         raise DegreeMismatch(class_degree, problem.dimension, requirement)
-    return expr
+    return _Gated(program, class_degree)
 
 
 def localize_top(problem, expr):

@@ -162,3 +162,27 @@ def test_circle_reduce_annihilated_weight():
 def test_circle_reduce_length_check():
     with pytest.raises(ValueError):
         circle_reduce(sphere_rotation(), (1, 2))
+
+
+def test_circle_reduce_checks_every_weight_length():
+    # an unvalidated problem of rank 2 with a weight of length 3: the pairing
+    # must not be cut to the direction's length
+    point = FixedPoint("p", (Weight((1, 2)), Weight((1, 2, 3))), 1)
+    problem = LocalizationProblem(2, 2, (point,))
+    with pytest.raises(ValueError, match="direction has length 2, weight has rank 3"):
+        circle_reduce(problem, (1, 1))
+
+
+def test_circle_reduce_builds_the_records_the_constructors_build():
+    reduced = circle_reduce(projective_space(2), (1, 3, 7))
+    expected = LocalizationProblem(
+        1,
+        2,
+        (
+            FixedPoint("p0", ((2,), (6,)), 1),
+            FixedPoint("p1", ((-2,), (4,)), 1),
+            FixedPoint("p2", ((-6,), (-4,)), 1),
+        ),
+    )
+    assert reduced == expected and hash(reduced) == hash(expected)
+    assert all(type(w.components[0]) is int for p in reduced.points for w in p.weights)

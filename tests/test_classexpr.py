@@ -313,15 +313,36 @@ def test_restrict_matches_the_product_expansion(data):
     assert restrict(expr, point, rank) == reference_restrict(expr, point, rank)
 
 
+# the circle path: weights along u1, as at a point after circle_reduce.  The
+# first point has twelve, as on CP^12, some repeated and some negative; at the
+# second, a and -a cancel in E_1 and E_3, so its table has zero entries
+COORDINATE_POINTS = (
+    FixedPoint("p", tuple(Weight((a,)) for a in (1, 2, -3, 4, 5, -1, 2, 7, -8, 9, 1, 3)), -1),
+    FixedPoint("q", tuple(Weight((a,)) for a in (3, -3, 2, -2)), 1),
+)
+
+
 @pytest.mark.parametrize(
-    "text", ["c1^12", "c12", "c13", "c5*c7 - 2*c12", "e", "e - c12", "7", "3^2 + 1"]
+    "text",
+    ["c1^12", "c12", "c13", "c5*c7 - 2*c12", "e", "e - c12", "7", "3^2 + 1", "c1", "c3*c2", "c4"],
 )
 def test_restrict_on_many_coordinate_weights(text):
-    # the circle path: twelve weights along u1, as at a point of CP^12 after
-    # circle_reduce, some repeated and some negative
-    point = FixedPoint("p", tuple(Weight((a,)) for a in (1, 2, -3, 4, 5, -1, 2, 7, -8, 9, 1, 3)), -1)
     expr = parse(text)
-    assert restrict(expr, point, 1) == reference_restrict(expr, point, 1)
+    for point in COORDINATE_POINTS:
+        assert restrict(expr, point, 1) == reference_restrict(expr, point, 1)
+
+
+@pytest.mark.parametrize("point", COORDINATE_POINTS, ids=("twelve", "cancelling"))
+def test_restrict_runs_maximally_deep_expressions(point):
+    # a left-deep sum of MAX_DEPTH levels, and a right-deep product that keeps
+    # (MAX_DEPTH - 1)/2 values waiting on the stack of the compiled steps
+    flat = parse("+".join(["c1"] * MAX_DEPTH))
+    assert restrict(flat, point, 1) == MAX_DEPTH * reference_restrict(ChernClass(1), point, 1)
+    k = (MAX_DEPTH - 1) // 2
+    nested = parse("c2*(" * k + "c1" + ")" * k)
+    expected = reference_restrict(parse(f"c2^{k}*c1"), point, 1)
+    assert restrict(nested, point, 1) == expected
+    assert degree(nested, 12) == 4 * k + 2
 
 
 def test_restrict_is_ring_homomorphism():

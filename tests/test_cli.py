@@ -214,6 +214,14 @@ def test_overlong_integer_literal_exit_1(capsys):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("space", ["cpn:1", "cpn:2"])
+def test_exponent_overflow_exit_2(capsys, space):
+    # refused before the power is computed, not after 2**31 products
+    code, out, err = run(capsys, "integrate", "--space", space, "--expr", "c1^2147483648")
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "error: exponent overflow: an exponent exceeds 2147483647\n"
+
+
 @needs_digit_limit
 def test_overlong_cpn_dimension_exit_2(capsys):
     code, out, err = run(capsys, "euler", "--space", "cpn:" + "1" * (DIGIT_LIMIT + 1))

@@ -10,7 +10,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torusloc import FactoredRational, NotPolynomialError, Polynomial, RankMismatch, Weight, linear_divide
-from torusloc.exact import _effective_coordinates, _elementary_symmetric, _substitute, _times_form
+from torusloc.exact import (
+    MAX_EXPONENT,
+    _effective_coordinates,
+    _elementary_symmetric,
+    _substitute,
+    _times_form,
+)
 
 from support import (
     linear_polynomial,
@@ -617,6 +623,34 @@ def test_crossing_the_exponent_guard_raises():
         specialize(Polynomial(2, {(2**30, 2**30): 1}), (1, 1))
     # raising another variable's exponent is fine
     assert (low * u1).terms == {(1, 2**31 - 1): 1}
+
+
+@given(st.integers(1, 3).flatmap(polynomials), st.integers(0, 12))
+@example(Polynomial.zero(2), 0)
+@example(Polynomial.zero(2), 5)
+@example(Polynomial.constant(1, Fraction(-2, 3)), 12)
+@example(Polynomial.constant(3, 7), 11)
+@settings(deadline=None)
+def test_power_by_squaring_is_the_repeated_product(p, k):
+    product = Polynomial.constant(p.rank, 1)
+    for _ in range(k):
+        product = product * p
+    assert p ** k == product
+
+
+def test_power_overflow_raises_before_multiplying(monkeypatch):
+    # p ** k has the degree k*m in each variable of degree m in p
+    assert (u1 ** MAX_EXPONENT).terms == {(MAX_EXPONENT, 0): 1}
+
+    cases = ((u1, MAX_EXPONENT + 1), (u1 + u2, 2**31), (u1 ** 2 - u2, 2**30))
+
+    def refuse(self, other):
+        raise AssertionError("a product was computed")
+
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    for base, exponent in cases:
+        with pytest.raises(ValueError, match="exponent overflow"):
+            base ** exponent
 
 
 # ---------------------------------------------------------------------------

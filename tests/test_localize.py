@@ -26,6 +26,7 @@ from torusloc import (
     Weight,
     check_vanishing,
     circle_reduce,
+    degree,
     euler_characteristic,
     integrate_top,
     localize,
@@ -136,6 +137,29 @@ def test_degree_gate_runs_before_evaluation(monkeypatch):
         integrate_top(projective_space(2), "c1^599")
     with pytest.raises(DegreeMismatch):
         check_vanishing(projective_space(2), "c2")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda problem: integrate_top(problem, "c1*c2"),
+        lambda problem: check_vanishing(problem, "c1^2"),
+        euler_characteristic,
+        lambda problem: localize(problem, "c1^4"),
+    ],
+    ids=["integrate_top", "check_vanishing", "euler_characteristic", "localize"],
+)
+def test_each_call_computes_the_degree_once(monkeypatch, call):
+    # a degree gate hands its degree to localize with the compiled expression
+    counted = []
+
+    def counting_degree(expr, half_dim):
+        counted.append(expr)
+        return degree(expr, half_dim)
+
+    monkeypatch.setattr(LOCALIZE, "degree", counting_degree)
+    call(projective_space(3))
+    assert len(counted) == 1
 
 
 def test_localize_validates_problem():
