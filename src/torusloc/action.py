@@ -60,14 +60,6 @@ class Weight(_Record):
         `form` is the primitive int tuple that keys a FactoredRational."""
         return _primitive(self.components)
 
-    def pair(self, direction):
-        direction = tuple(direction)
-        if len(direction) != self.rank:
-            raise ValueError(
-                f"direction has length {len(direction)}, weight has rank {self.rank}"
-            )
-        return sum(map(operator.mul, self.components, direction))
-
     def negated(self):
         return Weight(tuple(-c for c in self.components))
 

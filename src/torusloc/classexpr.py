@@ -18,6 +18,16 @@ its largest Chern index and its nodes in postorder, evaluated by a
 straight-line loop over a value stack, with no recursion.  Either takes the
 node or the compiled form; `localize` compiles once per call and hands the
 compiled form to every fixed point, so no point walks the tree again.
+
+`restrict` runs that one loop with leaves chosen per point.  At rank 1 a
+homogeneous expression's value at every step is v*u^d, d fixed by the step,
+so the loop runs over the integers v: c_k is the elementary symmetric
+number E_k of the weights, e the coefficient of the Euler class, a literal
+itself, and the result is the one monomial.  The degrees come from the walk
+that `degree` makes, once per compiled form and half-dimension.  At higher
+rank, for an inhomogeneous expression, or when some step's degree passes
+MAX_EXPONENT (where the polynomial steps raise the exponent overflow unless
+the value is 0), the leaves are polynomials.
 """
 
 from __future__ import annotations
@@ -25,7 +35,15 @@ from __future__ import annotations
 import operator
 
 from .action import _check_nonzero_weights, equivariant_euler
-from .exact import Polynomial, _elementary_symmetric, _Record
+from .exact import (
+    MAX_EXPONENT,
+    Polynomial,
+    RankMismatch,
+    _circle_monomial,
+    _elementary_symmetric,
+    _Record,
+    _symmetric_numbers,
+)
 
 
 class IntegerLiteral(_Record):
@@ -281,10 +299,13 @@ class _Program(_Record):
 
     `top` is its largest Chern index (0 when it names none) and `steps` its
     nodes in postorder, each an (opcode, argument) pair, so evaluating it is
-    one straight-line loop over a value stack.
+    one straight-line loop over a value stack.  `_grades` caches `_graded`
+    per half-dimension, so `degree` and every point's `restrict` share one
+    walk of the steps.
     """
 
-    __slots__ = ("top", "steps")
+    __slots__ = ("top", "steps", "_grades")
+    _fields = ("top", "steps")
 
 
 def _compile(expr):
@@ -312,7 +333,37 @@ def _compile(expr):
         else:
             raise TypeError(f"not a class expression node: {node!r}")
     steps.reverse()
-    return _Program(top, tuple(steps))
+    return _Program(top, tuple(steps), {})
+
+
+def _graded(program, half_dim):
+    # (degree, largest degree of any step's value) of a compiled program, or
+    # (the first two unequal degrees of a sum, None) when it is inhomogeneous;
+    # computed once per program and half-dimension
+    grades = program._grades.get(half_dim)
+    if grades is None:
+        degrees, largest = [], 0
+        for op, argument in program.steps:
+            if op is _CHERN:
+                degrees.append(2 * argument)
+            elif op is _POW:
+                degrees[-1] *= argument
+            elif op is _LITERAL:
+                degrees.append(0)
+            elif op is _EULER:
+                degrees.append(2 * half_dim)
+            else:
+                right = degrees.pop()
+                if op is operator.mul:
+                    degrees[-1] += right
+                elif degrees[-1] != right:
+                    grades = (degrees[-1], right), None
+                    break
+            largest = max(largest, degrees[-1])
+        else:
+            grades = degrees[0], largest
+        program._grades[half_dim] = grades
+    return grades
 
 
 def degree(node, half_dim):
@@ -322,24 +373,29 @@ def degree(node, half_dim):
     powers multiply.  Raises InhomogeneousExpression when additive terms
     disagree.
     """
-    half_dim = operator.index(half_dim)
-    degrees = []
-    for op, argument in _compile(node).steps:
+    found, largest = _graded(_compile(node), operator.index(half_dim))
+    if largest is None:
+        raise InhomogeneousExpression(found)
+    return found
+
+
+def _evaluate(steps, chern, constant, euler):
+    # the value of compiled steps, with c_k -> chern[k] (constant(0) for k
+    # past the table), a literal a -> constant(a) and e -> euler()
+    values = []
+    for op, argument in steps:
         if op is _CHERN:
-            degrees.append(2 * argument)
+            values.append(chern[argument] if argument < len(chern) else constant(0))
         elif op is _POW:
-            degrees[-1] *= argument
+            values[-1] = values[-1] ** argument
         elif op is _LITERAL:
-            degrees.append(0)
+            values.append(constant(argument))
         elif op is _EULER:
-            degrees.append(2 * half_dim)
+            values.append(euler())
         else:
-            right = degrees.pop()
-            if op is operator.mul:
-                degrees[-1] += right
-            elif degrees[-1] != right:
-                raise InhomogeneousExpression((degrees[-1], right))
-    return degrees[0]
+            right = values.pop()
+            values[-1] = op(values[-1], right)
+    return values[0]
 
 
 def restrict(node, point, rank):
@@ -350,24 +406,32 @@ def restrict(node, point, rank):
     equivariant Euler class, literals become constants.  Evaluation is a
     ring homomorphism into the rank-`rank` polynomial ring.  `node` may also
     be the compiled form that `localize` builds once and hands to every point.
+
+    At rank 1 a homogeneous expression whose steps all stay within
+    MAX_EXPONENT runs on integers (see the module docstring); it raises the
+    exponent overflow, or finds 0, exactly where the polynomial steps do.
     """
     _check_nonzero_weights(point)
     program = _compile(node)
-    # only the Chern classes the expression names are built: c_0 .. c_top
-    symmetric = _elementary_symmetric([w.components for w in point.weights], rank, program.top)
-    values = []
-    for op, argument in program.steps:
-        if op is _CHERN:
-            values.append(
-                symmetric[argument] if argument < len(symmetric) else Polynomial.zero(rank)
+    vectors = [w.components for w in point.weights]
+    if rank == 1:
+        found, largest = _graded(program, len(vectors))
+        if largest is not None and largest <= 2 * MAX_EXPONENT:
+            try:
+                entries = [a for (a,) in vectors]
+            except ValueError:  # a weight of another length
+                length = next(len(vector) for vector in vectors if len(vector) != 1)
+                raise RankMismatch(f"vector of length {length} vs rank 1") from None
+            value = _evaluate(
+                program.steps,
+                _symmetric_numbers(entries, program.top),
+                int,
+                lambda: next(iter(equivariant_euler(point, 1).terms.values())),
             )
-        elif op is _POW:
-            values[-1] = values[-1] ** argument
-        elif op is _LITERAL:
-            values.append(Polynomial.constant(rank, argument))
-        elif op is _EULER:
-            values.append(equivariant_euler(point, rank))
-        else:
-            right = values.pop()
-            values[-1] = op(values[-1], right)
-    return values[0]
+            return _circle_monomial(found // 2, value)
+    return _evaluate(
+        program.steps,
+        _elementary_symmetric(vectors, rank, program.top),
+        lambda value: Polynomial.constant(rank, value),
+        lambda: equivariant_euler(point, rank),
+    )

@@ -306,6 +306,10 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # a scalar scales each coefficient
+            return Polynomial._raw(
+                self.rank, {k: other * c for k, c in self._terms.items()} if other else {}
+            )
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -380,6 +384,11 @@ class Polynomial:
         return f"Polynomial(rank={self.rank}, {self})"
 
 
+def _circle_monomial(degree, coefficient):
+    # coefficient * u^degree in the rank-1 ring, whose packed key is the exponent
+    return Polynomial._raw(1, {degree: coefficient} if coefficient else {})
+
+
 def _primitive(vector):
     # (form, scalar) for a nonzero integer vector: `form` is the primitive int
     # tuple (coprime entries, the first nonzero one positive) with
@@ -434,33 +443,39 @@ def _times_form(p, vector):
     return Polynomial._raw(p.rank, _add_times({}, p._terms, vector))
 
 
+def _symmetric_numbers(entries, top):
+    # [E_0, ..., E_m], m = min(top, number of entries): the elementary symmetric
+    # numbers of the integers a, by the recurrence E_i += a * E_{i-1} in place
+    numbers = [1]
+    for a in entries:
+        if len(numbers) <= top:
+            numbers.append(0)
+        for i in range(len(numbers) - 1, 0, -1):
+            numbers[i] += a * numbers[i - 1]
+    return numbers
+
+
 def _elementary_symmetric(vectors, rank, top):
     # [e_0, ..., e_m], m = min(top, number of vectors), of the linear forms a.u
     # for the integer vectors a, by the recurrence e_j += e_{j-1} * (a.u) on term
     # dicts in place.  Multiples a*u_k of one coordinate are grouped by k
-    # instead, with their integer elementary symmetric numbers E_i updated in
-    # place; the terms E_i * u_k^i are the table itself when no other vector
+    # instead, with the integer elementary symmetric numbers E_i of their
+    # entries a; the terms E_i * u_k^i are the table itself when no other vector
     # entered it (always so at rank 1), and are folded in by key shifts otherwise
     table = [{0: 1}]
-    coordinates = {}  # key of u_k -> [E_0, E_1, ...] of the entries a of the vectors a*u_k
+    coordinates = {}  # key of u_k -> the entries a of the vectors a*u_k
     for vector in vectors:
         _check_vector(vector, rank)
         if vector.count(0) == rank - 1:
             entry = sum(vector)
-            step = 1 << _FIELD * (rank - 1 - vector.index(entry))  # u_k's key
-            numbers = coordinates.get(step)
-            if numbers is None:
-                numbers = coordinates[step] = [1]
-            if len(numbers) <= top:
-                numbers.append(0)
-            for i in range(len(numbers) - 1, 0, -1):  # E_i += a * E_{i-1}
-                numbers[i] += entry * numbers[i - 1]
+            coordinates.setdefault(1 << _shift(rank, vector.index(entry)), []).append(entry)
             continue
         if len(table) <= top:
             table.append({})
         for j in range(len(table) - 1, 0, -1):
             _add_times(table[j], table[j - 1], vector)
-    for step, numbers in coordinates.items():
+    for step, entries in coordinates.items():
+        numbers = _symmetric_numbers(entries, top)
         if len(table) == 1:  # the table is [1]
             table = [{i * step: number} if number else {} for i, number in enumerate(numbers)]
             continue
@@ -568,23 +583,29 @@ class FactoredRational:
     Always stored fully cancelled: no denominator form divides the
     numerator.  The denominator is a multiset {form: positive multiplicity}
     keyed by primitive coefficient tuples, as `Weight.primitive` returns
-    them; the constructor rejects any other key.  Content and sign scalars
-    belong in the numerator's coefficients.
+    them; the constructor rejects any other key passed in from outside.
+    Content and sign scalars belong in the numerator's coefficients.
     """
 
     __slots__ = ("numerator", "denominator")
 
-    def __init__(self, numerator, denominator={}):  # read, never mutated
+    def __init__(self, numerator, denominator={}, *, _trusted=False):  # {} is never mutated
         if not isinstance(numerator, Polynomial):
             raise TypeError(f"numerator must be a Polynomial, got {type(numerator).__name__}")
-        multiset = {}
-        for form, multiplicity in denominator.items():
-            form = _checked_form(form, numerator.rank)
-            multiplicity = operator.index(multiplicity)
-            if multiplicity < 0:
-                raise ValueError(f"negative multiplicity for {_form_text(form)}")
-            if multiplicity:
-                multiset[form] = multiplicity
+        if _trusted:
+            # internal path: `denominator` is a fresh {form: multiplicity >= 1} of
+            # primitive forms of the numerator's rank, as `Weight.primitive`
+            # returns them, and is taken over and cancelled in place
+            multiset = denominator
+        else:
+            multiset = {}
+            for form, multiplicity in denominator.items():
+                form = _checked_form(form, numerator.rank)
+                multiplicity = operator.index(multiplicity)
+                if multiplicity < 0:
+                    raise ValueError(f"negative multiplicity for {_form_text(form)}")
+                if multiplicity:
+                    multiset[form] = multiplicity
         object.__setattr__(self, "numerator", _cancel(numerator, multiset, list(multiset)))
         object.__setattr__(self, "denominator", multiset)
 

@@ -23,7 +23,10 @@ The expression is compiled once per call (see `classexpr`), and every point
 term restricts the compiled form.  A point term divides the restricted class
 by sign * (product of the weights' integer contents) before the forms
 cancel; that scaling is skipped when the product is 1 and is a negation when
-it is -1.
+it is -1.  The forms come from `Weight.primitive()`, already primitive, so
+the point term hands them to FactoredRational's trusted path, which cancels
+without checking them again: at rank 1 the one form u cancels by a single
+key shift of the restricted monomial.
 
 The rules built on the sum live here once, not in the command line:
 the degree gates (== dim M for `localize_top`, < dim M for
@@ -107,7 +110,7 @@ def point_term(point, expr, rank):
         numerator = -numerator
     elif scalar != 1:
         numerator = numerator * Fraction(1, scalar)
-    return FactoredRational(numerator, denominator)
+    return FactoredRational(numerator, denominator, _trusted=True)
 
 
 def localize(problem, expr):

@@ -17,6 +17,7 @@ from torusloc import (
     Polynomial,
     Power,
     Product,
+    RankMismatch,
     Sum,
     Weight,
     degree,
@@ -271,6 +272,13 @@ def test_restrict_rejects_zero_weight():
             restrict(parse(text), point, 2)
 
 
+@pytest.mark.parametrize("text", ["c1", "c1 + c2", "e"])  # the integer and polynomial steps
+def test_restrict_rejects_a_weight_of_another_length(text):
+    point = FixedPoint("p", (Weight((1,)), Weight((2, 1))), 1)
+    with pytest.raises(RankMismatch, match="vector of length 2 vs rank 1"):
+        restrict(parse(text), point, 1)
+
+
 @st.composite
 def mixed_points(draw):
     """(rank, point) whose weights mix multiples of one coordinate u_k (repeated,
@@ -311,6 +319,87 @@ def test_restrict_matches_the_product_expansion(data):
     rank, point = data.draw(mixed_points())
     expr = data.draw(class_expressions(len(point.weights) + 2))
     assert restrict(expr, point, rank) == reference_restrict(expr, point, rank)
+
+
+@st.composite
+def circle_points(draw):
+    """A rank-1 point, as after circle_reduce; half of them also carry a weight
+    and its negative, so that E_1, E_3 or the whole table can vanish."""
+    entries = draw(st.lists(st.integers(-4, 4).filter(bool), max_size=4))
+    if entries and draw(st.booleans()):
+        entries.append(-entries[0])
+    return FixedPoint("p", tuple(Weight((a,)) for a in entries), draw(st.sampled_from((1, -1))))
+
+
+@st.composite
+def homogeneous_expressions(draw, half_dim, max_chern):
+    """A sum or difference of up to three monomials (products of the atoms and
+    their powers), each brought to the largest of their degrees by a power of c1."""
+    monomial = st.recursive(
+        class_expressions(max_chern).filter(lambda node: not isinstance(node, (Sum, Difference))),
+        lambda inner: st.builds(Product, inner, inner),
+        max_leaves=3,
+    ).filter(lambda node: _has_one_degree(node, half_dim))
+    monomials = draw(st.lists(monomial, min_size=1, max_size=3))
+    degrees = [degree(node, half_dim) for node in monomials]
+    expr = None
+    for node, d in zip(monomials, degrees):
+        if d < max(degrees):
+            node = Product(node, Power(ChernClass(1), (max(degrees) - d) // 2))
+        expr = node if expr is None else draw(st.sampled_from((Sum, Difference)))(expr, node)
+    return expr
+
+
+def _has_one_degree(node, half_dim):
+    try:
+        degree(node, half_dim)
+    except InhomogeneousExpression:
+        return False
+    return True
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_rank_one_restrict_matches_the_product_expansion(data):
+    # homogeneous expressions run on integers, the others on polynomials;
+    # Chern indices run from below the weight count to two above it
+    point = data.draw(circle_points())
+    n = len(point.weights)
+    expr = data.draw(st.one_of(homogeneous_expressions(n, n + 2), class_expressions(n + 2)))
+    assert restrict(expr, point, 1) == reference_restrict(expr, point, 1)
+
+
+def outcome(evaluate, expr, point):
+    try:
+        return evaluate(expr, point, 1)
+    except ValueError as error:
+        return str(error)
+
+
+# at rank 1 the exponent overflow is raised where the polynomial steps raise
+# it: at a nonzero value whose degree passes 2**31 - 1, never at a zero one.
+# At weights (2, -1), E_1 = 1, E_2 = -2 and e = -2u^2; at (1, -1), E_1 = 0.
+@pytest.mark.parametrize(
+    "text, entries, raises",
+    [
+        ("c1^2147483648", (2, -1), True),
+        ("c1^2147483648", (1, -1), False),
+        ("(c1*c2)^715827883", (2, -1), True),  # degree 3 * 715827883 = 2**31 + 1
+        ("(c1*c2)^715827883", (1, -1), False),
+        ("c1^2147483647*c1", (2, -1), True),  # the product passes the limit
+        ("c1^2147483647*c1", (1, -1), False),
+        ("(c1^2147483648)^0", (2, -1), True),
+        ("e^1073741824", (1, -1), True),
+        ("c3^2147483648", (2, -1), False),  # c3 is 0 at a point with two weights
+        ("c1^2147483647", (2, -1), False),  # u^(2**31 - 1): at the limit
+    ],
+)
+def test_rank_one_exponent_overflow_matches_the_polynomial_steps(text, entries, raises):
+    point = FixedPoint("p", tuple(Weight((a,)) for a in entries), 1)
+    expr = parse(text)
+    found = outcome(restrict, expr, point)
+    assert found == outcome(reference_restrict, expr, point)
+    assert (found == "exponent overflow: an exponent exceeds 2147483647") == raises
 
 
 # the circle path: weights along u1, as at a point after circle_reduce.  The

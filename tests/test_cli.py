@@ -214,12 +214,29 @@ def test_overlong_integer_literal_exit_1(capsys):
         assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("space", ["cpn:1", "cpn:2"])
-def test_exponent_overflow_exit_2(capsys, space):
+# after the circle reduction along (0, 1, 2), E_1 = 3 at the first point of
+# CP^2, where it is +-1 on CP^1, so 3^2147483648 would have to be built
+@pytest.mark.parametrize(
+    "space, xi",
+    [
+        pytest.param("cpn:1", (), id="cpn:1"),
+        pytest.param("cpn:2", (), id="cpn:2"),
+        pytest.param("cpn:2", ("--xi", "0,1,2"), id="cpn:2 --xi 0,1,2"),
+    ],
+)
+def test_exponent_overflow_exit_2(capsys, space, xi):
     # refused before the power is computed, not after 2**31 products
-    code, out, err = run(capsys, "integrate", "--space", space, "--expr", "c1^2147483648")
+    code, out, err = run(capsys, "integrate", "--space", space, "--expr", "c1^2147483648", *xi)
     assert (code, out) == (EXIT_INVALID, "")
     assert err == "error: exponent overflow: an exponent exceeds 2147483647\n"
+
+
+def test_vanishing_power_past_the_exponent_limit_prints_0(capsys):
+    # c3 is 0 at every point of CP^2, and a zero value never overflows
+    code, out, err = run(
+        capsys, "integrate", "--space", "cpn:2", "--expr", "c3^2147483648", "--xi", "0,1,2"
+    )
+    assert (code, out, err) == (0, "0\n", "")
 
 
 @needs_digit_limit

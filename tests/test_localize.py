@@ -31,6 +31,7 @@ from torusloc import (
     integrate_top,
     localize,
     parse,
+    restrict,
 )
 from torusloc.classexpr import Sum
 from torusloc.exact import _effective_coordinates
@@ -269,6 +270,19 @@ def test_point_term_scalar_six_gives_fraction_coefficients():
     assert not term.denominator
     assert term.numerator.terms == {(0,): Fraction(25, 6)}
     assert type(term.numerator.terms[(0,)]) is Fraction
+
+
+# the restricted value has degree d against n = 3 weights: d < n leaves
+# u^(n - d) in the denominator, d = n a constant, d > n a polynomial; c4
+# restricts to 0, and so do c1 and c1^5 at weights (1, 2, -3), where E_1 = 0
+@pytest.mark.parametrize("text", ["c1", "c2", "c3", "e", "c1^3 - c3", "c1^5", "c2^2*c1", "c4"])
+@pytest.mark.parametrize("entries", [(2, -3, 4), (1, 2, -3)])
+def test_rank_one_point_term_is_what_the_checked_constructor_builds(text, entries):
+    point = FixedPoint("p", tuple(Weight((a,)) for a in entries), -1)
+    expr = parse(text)
+    scalar = -reduce(operator.mul, entries)
+    expected = FactoredRational(restrict(expr, point, 1) * Fraction(1, scalar), {(1,): 3})
+    assert point_term(point, expr, 1) == expected
 
 
 # ---------------------------------------------------------------------------
