@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 
-from .exact import Polynomial, _primitive, _Record, _times_form
+from .exact import Polynomial, _Cached, _primitive, _Record, _times_form
 
 
 class ValidationError(Exception):
@@ -68,7 +68,7 @@ def _as_weight(value):
     return value if isinstance(value, Weight) else Weight(tuple(value))
 
 
-class FixedPoint(_Record):
+class FixedPoint(_Cached):
     """A labeled isolated fixed point with tangent weights and orientation sign."""
 
     __slots__ = ("label", "weights", "sign")
@@ -77,7 +77,7 @@ class FixedPoint(_Record):
         _Record.__init__(self, label, tuple(map(_as_weight, weights)), operator.index(sign))
 
 
-class LocalizationProblem(_Record):
+class LocalizationProblem(_Cached):
     """A rank-l torus acting on a compact oriented 2n-manifold, fixed points only.
 
     `rank` is the number of circle factors l >= 1, `half_dim` is n >= 0, and

@@ -22,25 +22,28 @@ compiled form to every fixed point, so no point walks the tree again.
 `restrict` runs that one loop with leaves chosen per point.  At rank 1 a
 homogeneous expression's value at every step is v*u^d, d fixed by the step,
 so the loop runs over the integers v: c_k is the elementary symmetric
-number E_k of the weights, e the coefficient of the Euler class, a literal
-itself, and the result is the one monomial.  The degrees come from the walk
-that `degree` makes, once per compiled form and half-dimension.  At higher
-rank, for an inhomogeneous expression, or when some step's degree passes
-MAX_EXPONENT (where the polynomial steps raise the exponent overflow unless
-the value is 0), the leaves are polynomials.
+number E_k of the weights (kept with the point, see `_point_record`), e the
+Euler class's coefficient, a literal itself, and the result one monomial.
+The degrees come from the walk that `degree` makes, once per compiled form
+and half-dimension.  At higher rank, for an inhomogeneous expression, or
+past MAX_EXPONENT at some step (where the polynomial steps raise the
+exponent overflow unless the value is 0), the leaves are polynomials.
 """
 
 from __future__ import annotations
 
 import operator
+from math import prod
 
 from .action import _check_nonzero_weights, equivariant_euler
 from .exact import (
     MAX_EXPONENT,
     Polynomial,
-    RankMismatch,
+    _Cached,
+    _check_vector,
     _circle_monomial,
     _elementary_symmetric,
+    _primitive,
     _Record,
     _symmetric_numbers,
 )
@@ -288,24 +291,23 @@ def _render(node, context):
     return text
 
 
-# The opcodes of a compiled step: a leaf or a power; a Sum, Difference or
-# Product step holds its operator instead, applied to the two values below it.
-_LITERAL, _CHERN, _EULER, _POW = "literal", "chern", "euler", "pow"
+# The opcodes of a compiled step: a leaf's or a power's node type, which a pickle
+# keeps by reference; a Sum, Difference or Product step holds its operator instead.
+_LITERAL, _CHERN, _EULER, _POW = IntegerLiteral, ChernClass, EulerClass, Power
 _BINARY = {Sum: operator.add, Difference: operator.sub, Product: operator.mul}
 
 
-class _Program(_Record):
+class _Program(_Cached):
     """An expression compiled by one walk, for `degree` and `restrict`.
 
     `top` is its largest Chern index (0 when it names none) and `steps` its
     nodes in postorder, each an (opcode, argument) pair, so evaluating it is
-    one straight-line loop over a value stack.  `_grades` caches `_graded`
+    one straight-line loop over a value stack.  Its cache holds `_graded`
     per half-dimension, so `degree` and every point's `restrict` share one
     walk of the steps.
     """
 
-    __slots__ = ("top", "steps", "_grades")
-    _fields = ("top", "steps")
+    __slots__ = ("top", "steps")
 
 
 def _compile(expr):
@@ -333,14 +335,14 @@ def _compile(expr):
         else:
             raise TypeError(f"not a class expression node: {node!r}")
     steps.reverse()
-    return _Program(top, tuple(steps), {})
+    return _Program._raw(top, tuple(steps))
 
 
 def _graded(program, half_dim):
     # (degree, largest degree of any step's value) of a compiled program, or
     # (the first two unequal degrees of a sum, None) when it is inhomogeneous;
     # computed once per program and half-dimension
-    grades = program._grades.get(half_dim)
+    grades = program._cached().get(half_dim)
     if grades is None:
         degrees, largest = [], 0
         for op, argument in program.steps:
@@ -362,7 +364,7 @@ def _graded(program, half_dim):
             largest = max(largest, degrees[-1])
         else:
             grades = degrees[0], largest
-        program._grades[half_dim] = grades
+        program._cached()[half_dim] = grades
     return grades
 
 
@@ -398,6 +400,33 @@ def _evaluate(steps, chern, constant, euler):
     return values[0]
 
 
+def _point_record(point, rank, top):
+    # (primitive forms {form: multiplicity}, sign * the contents' product, Chern
+    # table [c_0, ..., c_m]: integers E_k at rank 1, polynomials above) of a
+    # point, kept in its cache per rank; made again only for a top past m < n.
+    # A zero weight or one of another length raises, and nothing is kept.
+    cache, n = point._cached(), len(point.weights)
+    record = cache.get(rank)
+    if record is None or top >= len(record[2]) <= n:
+        _check_nonzero_weights(point)
+        vectors = [w.components for w in point.weights]
+        for vector in vectors:
+            _check_vector(vector, rank)
+        if rank == 1:  # every form is u, and the contents are the entries
+            entries = [a for (a,) in vectors]
+            chern = _symmetric_numbers(entries, top)
+            record = {(1,): n} if n else {}, point.sign * prod(entries), chern
+        else:
+            denominator, scalar = {}, point.sign
+            for vector in vectors:
+                form, content = _primitive(vector)
+                scalar *= content
+                denominator[form] = denominator.get(form, 0) + 1
+            record = denominator, scalar, _elementary_symmetric(vectors, rank, top)
+        cache[rank] = record
+    return record
+
+
 def restrict(node, point, rank):
     """Evaluate an expression at a fixed point, into the coefficient ring.
 
@@ -411,27 +440,22 @@ def restrict(node, point, rank):
     MAX_EXPONENT runs on integers (see the module docstring); it raises the
     exponent overflow, or finds 0, exactly where the polynomial steps do.
     """
-    _check_nonzero_weights(point)
     program = _compile(node)
-    vectors = [w.components for w in point.weights]
+    _, _, chern = _point_record(point, rank, program.top)
     if rank == 1:
-        found, largest = _graded(program, len(vectors))
+        found, largest = _graded(program, len(point.weights))
         if largest is not None and largest <= 2 * MAX_EXPONENT:
-            try:
-                entries = [a for (a,) in vectors]
-            except ValueError:  # a weight of another length
-                length = next(len(vector) for vector in vectors if len(vector) != 1)
-                raise RankMismatch(f"vector of length {length} vs rank 1") from None
             value = _evaluate(
                 program.steps,
-                _symmetric_numbers(entries, program.top),
+                chern,
                 int,
                 lambda: next(iter(equivariant_euler(point, 1).terms.values())),
             )
             return _circle_monomial(found // 2, value)
+        chern = [_circle_monomial(k, number) for k, number in enumerate(chern)]
     return _evaluate(
         program.steps,
-        _elementary_symmetric(vectors, rank, program.top),
+        chern,
         lambda value: Polynomial.constant(rank, value),
         lambda: equivariant_euler(point, rank),
     )

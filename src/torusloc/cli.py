@@ -13,7 +13,8 @@ All results go to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 expression parse error, 2 invalid problem data or
 direction, 3 localization sum is not a polynomial, 4 degree mismatch, 5 internal
 error (an internal consistency check failed, or any other exception escaped),
-74 stdout refused the output (as a full device does), 141 stdout was closed
+6 the result has an integer too long to print (past str()'s digit limit), 74
+stdout refused the output (as a full device does), 141 stdout was closed
 before all output was written.
 """
 
@@ -45,6 +46,7 @@ EXIT_INVALID = 2
 EXIT_NOT_POLYNOMIAL = 3
 EXIT_DEGREE = 4
 EXIT_INTERNAL = 5
+EXIT_LIMIT = 6
 
 DOCUMENT_FORMAT = 1
 
@@ -212,19 +214,29 @@ def not_polynomial_document(error):
     }
 
 
-def _emit(doc):
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+def _json(doc):
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def _print_terms(per_point_terms):
-    for label, term in per_point_terms:
-        sys.stdout.write(f"{label}: {term}\n")
+def _terms_text(per_point_terms):
+    return "".join(f"{label}: {term}\n" for label, term in per_point_terms)
 
 
 def _fail(args, code, message):
     sys.stderr.write(f"error: {message}\n")
     if args.as_json:
-        _emit({"format": DOCUMENT_FORMAT, "status": "error", "error": message})
+        sys.stdout.write(_json({"format": DOCUMENT_FORMAT, "status": "error", "error": message}))
+    return code
+
+
+def _write(args, code, render, note=""):
+    # render()'s text after `note`, or EXIT_LIMIT for an integer str() refuses
+    try:
+        text = render()
+    except ValueError as exc:
+        return _fail(args, EXIT_LIMIT, f"result too long to print: {exc}")
+    sys.stderr.write(note)
+    sys.stdout.write(text)
     return code
 
 
@@ -232,26 +244,26 @@ def _fail(args, code, message):
 # subcommands
 
 def _report(args, result, expr_text, line):
-    if args.as_json:
-        _emit(result_document(result, args.terms, expr_text))
-    else:
-        sys.stdout.write(f"{line}\n")
-        if args.terms:
-            _print_terms(result.per_point_terms)
+    # the result's text line is `line` with the value put in for {}
+    def text():
+        if args.as_json:
+            return _json(result_document(result, args.terms, expr_text))
+        terms = _terms_text(result.per_point_terms) if args.terms else ""
+        return line.format(result.value) + "\n" + terms
+
+    return _write(args, EXIT_OK, text)
 
 
 def _cmd_integrate(args, problem):
     expr = parse(args.expr)
     result = (localize_top if args.top else localize)(problem, expr)
-    _report(args, result, render(expr), result.value)
-    return EXIT_OK
+    return _report(args, result, render(expr), "{}")
 
 
 def _cmd_euler(args, problem):
     result = localize_euler(problem)
     sys.stderr.write(f"fixed points: {len(problem.points)} (matches the localized integral)\n")
-    _report(args, result, "e", result.value)
-    return EXIT_OK
+    return _report(args, result, "e", "{}")
 
 
 def _cmd_check(args, problem):
@@ -260,9 +272,8 @@ def _cmd_check(args, problem):
     if result.class_degree < result.dimension:
         line = f"ok: degree {result.class_degree} < dimension {result.dimension}, sum is 0"
     else:
-        line = f"ok: polynomial, value = {result.value}"
-    _report(args, result, render(expr), line)
-    return EXIT_OK
+        line = "ok: polynomial, value = {}"
+    return _report(args, result, render(expr), line)
 
 
 # ---------------------------------------------------------------------------
@@ -376,16 +387,13 @@ def _execute(args):
     except (DocumentError, ValidationError, NonGenericDirection, ValueError) as exc:
         return _fail(args, EXIT_INVALID, str(exc))
     except NotPolynomialError as exc:
-        sys.stderr.write(
-            "error: localization sum is not a polynomial; "
-            "fixed-point data is inconsistent\n"
-        )
-        if args.as_json:
-            _emit(not_polynomial_document(exc))
-        else:
-            sys.stdout.write(f"residual: {exc.fraction}\n")
-            _print_terms(exc.per_point or ())
-        return EXIT_NOT_POLYNOMIAL
+        def text():
+            if args.as_json:
+                return _json(not_polynomial_document(exc))
+            return f"residual: {exc.fraction}\n" + _terms_text(exc.per_point or ())
+
+        note = "error: localization sum is not a polynomial; fixed-point data is inconsistent\n"
+        return _write(args, EXIT_NOT_POLYNOMIAL, text, note)
     except (DegreeMismatch, InhomogeneousExpression) as exc:
         return _fail(args, EXIT_DEGREE, str(exc))
     except OSError:  # stdout refused the output: main reports it

@@ -203,6 +203,20 @@ class _Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
+    def __reduce__(self):  # rebuilt by _raw, so a _Cached cache travels empty
+        return type(self)._raw, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class _Cached(_Record):
+    """A record with a cache dict, made on first use; `==`, `repr` and copies skip it."""
+
+    __slots__ = ("_cache",)
+
+    def _cached(self):
+        if not hasattr(self, "_cache"):
+            object.__setattr__(self, "_cache", {})
+        return self._cache
+
 
 class Polynomial:
     """Multivariate polynomial over Q in normalized form (no zero terms stored).

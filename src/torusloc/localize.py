@@ -19,14 +19,15 @@ either ring, and every output is the one the full-rank sum gives.  The
 per-point terms and a NotPolynomialError's residual and terms are mapped back
 on their first read; at r = 1 by the binomial theorem, above it by Horner.
 
-The expression is compiled once per call (see `classexpr`), and every point
-term restricts the compiled form.  A point term divides the restricted class
-by sign * (product of the weights' integer contents) before the forms
-cancel; that scaling is skipped when the product is 1 and is a negation when
-it is -1.  The forms come from `Weight.primitive()`, already primitive, so
-the point term hands them to FactoredRational's trusted path, which cancels
-without checking them again: at rank 1 the one form u cancels by a single
-key shift of the restricted monomial.
+A problem is prepared once: its first `localize` validates it, finds the
+effective torus and builds the reduced points, and keeps them in the
+problem's cache (a failure is never kept).  Each point keeps one record per
+ring rank, its primitive forms, scalar sign * (product of the weights'
+contents) and Chern table (`classexpr._point_record`).  A point term
+restricts the expression, compiled once per call, and divides by the scalar
+(skipped at 1, a negation at -1); a copy of the forms goes to
+FactoredRational's trusted path, which cancels without checking them: at
+rank 1 the one form u cancels by a single key shift of the monomial.
 
 The rules built on the sum live here once, not in the command line:
 the degree gates (== dim M for `localize_top`, < dim M for
@@ -42,8 +43,8 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .action import FixedPoint, Weight, validate
-from .classexpr import EulerClass, _compile, degree, parse, restrict
+from .action import FixedPoint, validate
+from .classexpr import EulerClass, _compile, _point_record, degree, parse, restrict
 from .exact import (
     FactoredRational,
     NotPolynomialError,
@@ -99,18 +100,13 @@ def _compiled(expr):
 
 def point_term(point, expr, rank):
     """restrict(expr, point) / euler(point) as a cancelled FactoredRational."""
-    scalar = point.sign
-    denominator = {}
-    for weight in point.weights:
-        form, s = weight.primitive()
-        scalar *= s
-        denominator[form] = denominator.get(form, 0) + 1
     numerator = restrict(expr, point, rank)
+    denominator, scalar, _ = _point_record(point, rank, 0)  # as restrict left it
     if scalar == -1:
         numerator = -numerator
     elif scalar != 1:
         numerator = numerator * Fraction(1, scalar)
-    return FactoredRational(numerator, denominator, _trusted=True)
+    return FactoredRational(numerator, dict(denominator), _trusted=True)
 
 
 def localize(problem, expr):
@@ -124,26 +120,26 @@ def localize(problem, expr):
     alone checks the degree law, and raises AssertionError for a term not of
     degree (class_degree - dimension)/2.
     """
-    validate(problem)
+    cache = problem._cached()
+    if "prepared" not in cache:  # the first call; a ValidationError is never kept
+        validate(problem)
+        rank, points, images = problem.rank, problem.points, {}
+        if rank > 1 and problem.half_dim:
+            vectors = {w.components for point in points for w in point.weights}
+            images = _effective_coordinates(vectors, rank)
+        if images:
+            rank = len(images)
+            points = [
+                FixedPoint(p.label, [[w.components[j] for j in images] for w in p.weights], p.sign)
+                for p in points
+            ]
+        cache["prepared"] = rank, points, images
+    rank, points, images = cache["prepared"]
     if isinstance(expr, _Gated):
         expr, class_degree = expr.program, expr.class_degree
     else:
         expr = _compiled(expr)
         class_degree = degree(expr, problem.half_dim)
-    rank, points, images = problem.rank, problem.points, {}
-    if rank > 1 and problem.half_dim:
-        vectors = {w.components for point in points for w in point.weights}
-        images = _effective_coordinates(vectors, rank)
-    if images:
-        rank = len(images)
-        points = [
-            FixedPoint(
-                point.label,
-                [Weight([w.components[j] for j in images]) for w in point.weights],
-                point.sign,
-            )
-            for point in points
-        ]
     terms = tuple((point.label, point_term(point, expr, rank)) for point in points)
     total = FactoredRational.zero(rank)
     for _, term in terms:

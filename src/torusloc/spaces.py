@@ -3,7 +3,8 @@
 Weight conventions follow complex scalar multiplication: projective-space
 points use the standard torus action with all signs +1, and the rotating
 sphere is oriented so the north pole's Euler class is +u.  Flipping every
-weight (or every reduction direction) leaves all integrals unchanged.
+weight (or every reduction direction) leaves all integrals unchanged.  The
+records are built by `_raw`: their ints come from here or from checked records.
 """
 
 from __future__ import annotations
@@ -34,15 +35,15 @@ def projective_space(n):
     if n < 1:
         raise ValueError(f"projective space needs n >= 1, got {n}")
     rank = n + 1
+    zeros = (0,) * rank
     points = []
     for i in range(rank):
+        minus = zeros[:i] + (-1,) + zeros[i + 1:]  # -u_i
         weights = tuple(
-            Weight(tuple((1 if k == j else 0) - (1 if k == i else 0) for k in range(rank)))
-            for j in range(rank)
-            if j != i
+            Weight._raw(minus[:j] + (1,) + minus[j + 1:]) for j in range(rank) if j != i
         )
-        points.append(FixedPoint(f"p{i}", weights, 1))
-    return LocalizationProblem(rank, n, tuple(points))
+        points.append(FixedPoint._raw(f"p{i}", weights, 1))
+    return LocalizationProblem._raw(rank, n, tuple(points))
 
 
 def product(a, b):
@@ -51,16 +52,12 @@ def product(a, b):
     Fixed points are pairs, tangent weights concatenate into disjoint
     variable blocks (rank adds), and orientation signs multiply.
     """
-    rank = a.rank + b.rank
-    points = []
-    for pa in a.points:
-        for pb in b.points:
-            weights = tuple(
-                Weight(w.components + (0,) * b.rank) for w in pa.weights
-            ) + tuple(
-                Weight((0,) * a.rank + w.components) for w in pb.weights
-            )
-            points.append(
-                FixedPoint(f"({pa.label},{pb.label})", weights, pa.sign * pb.sign)
-            )
-    return LocalizationProblem(rank, a.half_dim + b.half_dim, tuple(points))
+    pad_a, pad_b = (0,) * a.rank, (0,) * b.rank
+    left = [tuple(Weight._raw(w.components + pad_b) for w in p.weights) for p in a.points]
+    right = [tuple(Weight._raw(pad_a + w.components) for w in p.weights) for p in b.points]
+    points = tuple(
+        FixedPoint._raw(f"({pa.label},{pb.label})", wa + wb, pa.sign * pb.sign)
+        for pa, wa in zip(a.points, left)
+        for pb, wb in zip(b.points, right)
+    )
+    return LocalizationProblem._raw(a.rank + b.rank, a.half_dim + b.half_dim, points)

@@ -14,6 +14,7 @@ from torusloc.cli import (
     EXIT_DEGREE,
     EXIT_INTERNAL,
     EXIT_INVALID,
+    EXIT_LIMIT,
     EXIT_NOT_POLYNOMIAL,
     EXIT_OK,
     EXIT_PARSE,
@@ -229,6 +230,45 @@ def test_exponent_overflow_exit_2(capsys, space, xi):
     code, out, err = run(capsys, "integrate", "--space", space, "--expr", "c1^2147483648", *xi)
     assert (code, out) == (EXIT_INVALID, "")
     assert err == "error: exponent overflow: an exponent exceeds 2147483647\n"
+
+
+# a sphere whose south pole has the north pole's sign: 7^6000/u at each pole
+# leaves a residual whose numerator has 5,072 digits
+SAME_SIGN_SPHERE = {
+    **SINGLE_POINT,
+    "fixed_points": [
+        {"name": "north", "weights": [[1]], "sign": 1},
+        {"name": "south", "weights": [[1]], "sign": 1},
+    ],
+}
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("integrate", "--space", "cpn:2", "--expr", "c2^1000000", "--xi", "0,1,2"),
+        ("check", "--space", "cpn:2", "--expr", "c2^1000000", "--xi", "0,1,2"),
+        # the value line fits, a term does not: nothing is written
+        ("integrate", "--space", "sphere", "--expr", "7^6000*c1", "--terms"),
+        # the residual of inconsistent data
+        ("integrate", "--file", "{same_sign}", "--expr", "7^6000"),
+    ],
+    ids=["integrate", "check", "terms", "residual"],
+)
+def test_result_too_long_to_print_exit_6(capsys, tmp_path, argv, as_json):
+    path = tmp_path / "same_sign.json"
+    path.write_text(json.dumps(SAME_SIGN_SPHERE))
+    argv = [str(path) if arg == "{same_sign}" else arg for arg in argv]
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert code == EXIT_LIMIT
+    assert err.startswith("error: result too long to print: ") and err.count("\n") == 1
+    if as_json:
+        message = err[len("error: "):-1]
+        assert json.loads(out) == {"format": 1, "status": "error", "error": message}
+    else:
+        assert out == ""
 
 
 def test_vanishing_power_past_the_exponent_limit_prints_0(capsys):

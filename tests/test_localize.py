@@ -1,9 +1,12 @@
 """Localization sums: polynomiality, integrals, Euler characteristics."""
 
+import copy
 import importlib
 import operator
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 from functools import reduce
 from math import comb
@@ -34,6 +37,7 @@ from torusloc import (
     restrict,
 )
 from torusloc.classexpr import Sum
+from torusloc.cli import _terms_text, parse_space
 from torusloc.exact import _effective_coordinates
 from torusloc.localize import point_term
 from torusloc.spaces import projective_space, product, sphere_rotation
@@ -641,3 +645,172 @@ def test_mapped_back_forms_take_the_canonical_sign(monkeypatch, problem, summed_
             raised.add(expected[0])
     assert raised == {"value", "NotPolynomialError"}
     assert ranks == {summed_rank}
+
+
+# ---------------------------------------------------------------------------
+# what the first call on a problem prepares, and what its points keep
+
+CHERN_SPACES = (
+    "cpn:3",
+    "cpn:4",
+    "product:cpn:2,cpn:2",
+    "product:cpn:1,cpn:2",
+    "product:cpn:1,product:cpn:1,cpn:1",
+)
+CLASSEXPR = importlib.import_module("torusloc.classexpr")
+
+
+def partitions(n, largest=None):
+    """Every partition of n, parts in non-increasing order."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def chern_monomial(partition):
+    return "*".join(f"c{part}" for part in partition) or "1"
+
+
+def observed(result):
+    """What a caller can read of a localization: value, terms and --terms text."""
+    return result.value, result.per_point_terms, _terms_text(result.per_point_terms)
+
+
+@st.composite
+def call_orders(draw, space):
+    """Every Chern number of a space, interleaved with below-top classes
+    checked for vanishing, in a drawn order."""
+    n = parse_space(space).half_dim
+    tops = [chern_monomial(p) for p in partitions(n)]
+    below = [chern_monomial(p) for k in range(n) for p in partitions(k)]
+    vanishing = draw(st.lists(st.sampled_from(below), max_size=4))
+    calls = [("localize", text) for text in tops] + [("check", text) for text in vanishing]
+    return draw(st.permutations(calls))
+
+
+@pytest.mark.parametrize("space", CHERN_SPACES)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_call_order_on_one_problem_never_changes_what_it_reads(space, data):
+    # tops rise and fall in a drawn order, so a point's Chern table is made
+    # again at a larger top and then read at smaller ones
+    problem = parse_space(space)
+    for call, text in data.draw(call_orders(space)):
+        if call == "check":
+            check_vanishing(problem, text)
+            assert localize(problem, text).value == localize(parse_space(space), text).value
+        else:
+            fresh = localize(parse_space(space), text)
+            assert observed(localize(problem, text)) == observed(fresh)
+
+
+@pytest.mark.parametrize(
+    "build, text, top",
+    [
+        (lambda: projective_space(4), "c1^4", 1),
+        (lambda: projective_space(4), "c2^2", 2),
+        (lambda: projective_space(4), "3*c1*c3 - e", 3),
+        (lambda: circle_reduce(projective_space(6), (1, 2, 3, 4, 5, 6, 7)), "c2^2*c1^2", 2),
+        (lambda: parse_space("product:cpn:1,product:cpn:1,cpn:1"), "c1^2*c1", 1),
+    ],
+    ids=["cpn:4 c1^4", "cpn:4 c2^2", "cpn:4 e", "cpn:6 circle", "cpn:1^3"],
+)
+def test_a_first_call_builds_no_chern_entry_above_its_top(monkeypatch, build, text, top):
+    built = []
+    for name in ("_elementary_symmetric", "_symmetric_numbers"):
+
+        def spy(*args, original=getattr(CLASSEXPR, name)):
+            table = original(*args)
+            built.append(len(table) - 1)
+            return table
+
+        monkeypatch.setattr(CLASSEXPR, name, spy)
+    problem = build()
+    localize(problem, text)
+    assert built and max(built) == top
+    # a smaller top reads the tables as they are; a larger one makes them again
+    built.clear()
+    localize(problem, "1" if top == 1 else "c1^2")
+    assert built == []
+    if top < problem.half_dim:
+        localize(problem, f"c{problem.half_dim}")
+        assert built == [problem.half_dim] * len(problem.points)
+
+
+def test_repeated_calls_on_inconsistent_data_raise_the_same_residual():
+    flipped = with_weights(projective_space(3), lambda w: w, [-1, 1, 1, 1])
+    seen = []
+    for text in ("c1^3", "c1*c2", "c1^3", "2*c1^3 + c1*c2", "c1^3"):
+        with pytest.raises(NotPolynomialError) as info:
+            integrate_top(flipped, text)
+        seen.append((text, info.value.fraction, info.value.per_point))
+    for text, fraction, per_point in seen:
+        with pytest.raises(NotPolynomialError) as fresh:
+            integrate_top(with_weights(projective_space(3), lambda w: w, [-1, 1, 1, 1]), text)
+        assert (fraction, per_point) == (fresh.value.fraction, fresh.value.per_point)
+    assert seen[0][1:] == seen[2][1:] == seen[4][1:]
+
+
+def test_an_invalid_problem_raises_on_every_call():
+    bad = LocalizationProblem(1, 1, (FixedPoint("p", (Weight((0,)),), 1),))
+    for _ in range(3):
+        with pytest.raises(ValidationError):
+            localize(bad, "c1")
+
+
+CLONES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda record: pickle.loads(pickle.dumps(record)),
+}
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+def test_records_copy_and_pickle_with_their_caches_empty(clone):
+    problem = projective_space(2)
+    program = LOCALIZE._compiled("c1^2")
+    result = localize(problem, program)  # fills the problem's, points' and program's caches
+    circle = circle_reduce(problem, (0, 1, 2))
+    integrate_top(circle, "c2")
+    records = [problem, problem.points[0], problem.points[0].weights[0], parse("c2"), program]
+    records += [result, circle, circle.points[1], sphere_rotation()]
+    for record in records:
+        copied = clone(record)
+        assert type(copied) is type(record)
+        assert copied == record and repr(copied) == repr(record)
+        assert not hasattr(copied, "_cache")
+    assert localize(clone(problem), "c1^2").value == result.value
+    assert localize(problem, clone(program)).value == result.value
+    assert integrate_top(clone(circle), "c2") == 3
+    copied = clone(result)
+    assert observed(copied) == observed(result)
+
+
+def test_threads_sharing_one_problem_read_what_a_fresh_problem_gives():
+    # caches fill by check-then-store with no lock: a lost or repeated store
+    # only makes work again, so every thread must still read the fresh values
+    problem_id = "product:cpn:1,cpn:2"
+    problem = parse_space(problem_id)
+    texts = [chern_monomial(p) for p in partitions(3)] + ["c1^4", "c2*c1^2"]
+    expected = {text: observed(localize(parse_space(problem_id), text)) for text in texts}
+    mismatches, interval = [], sys.getswitchinterval()
+
+    def work(seed):
+        for text in random.Random(seed).choices(texts, k=20):
+            if observed(localize(problem, text)) != expected[text]:
+                mismatches.append(text)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []

@@ -3,6 +3,8 @@
 import pytest
 
 from torusloc import (
+    FixedPoint,
+    LocalizationProblem,
     Weight,
     circle_reduce,
     equivariant_euler,
@@ -113,8 +115,6 @@ def test_product_euler_characteristics():
 
 
 def test_product_with_point_is_identity():
-    from torusloc import FixedPoint, LocalizationProblem
-
     point_problem = LocalizationProblem(1, 0, (FixedPoint("pt", (), 1),))
     base = projective_space(1)
     padded = product(base, point_problem)
@@ -135,3 +135,62 @@ def test_c1_powers_on_the_projective_line_match_the_binomial_oracle():
     line = projective_space(1)
     for k in range(1, 162):
         assert localize(line, f"c1^{k}").value.terms == c1_power_on_projective_line(k), k
+
+
+def checked_projective_space(n):
+    """CP^n built through the checked constructors, one entry at a time."""
+    rank = n + 1
+    points = []
+    for i in range(rank):
+        weights = [
+            Weight([(1 if k == j else 0) - (1 if k == i else 0) for k in range(rank)])
+            for j in range(rank)
+            if j != i
+        ]
+        points.append(FixedPoint(f"p{i}", weights, 1))
+    return LocalizationProblem(rank, n, points)
+
+
+def checked_product(a, b):
+    """The product of two problems built through the checked constructors."""
+    points = [
+        FixedPoint(
+            f"({pa.label},{pb.label})",
+            [list(w.components) + [0] * b.rank for w in pa.weights]
+            + [[0] * a.rank + list(w.components) for w in pb.weights],
+            pa.sign * pb.sign,
+        )
+        for pa in a.points
+        for pb in b.points
+    ]
+    return LocalizationProblem(a.rank + b.rank, a.half_dim + b.half_dim, points)
+
+
+NESTED_PRODUCTS = {
+    "cpn:1 x cpn:2": lambda times, cp: times(cp(1), cp(2)),
+    "cpn:1 x (cpn:1 x cpn:1)": lambda times, cp: times(cp(1), times(cp(1), cp(1))),
+    "(cpn:2 x sphere) x cpn:3": lambda times, cp: times(times(cp(2), sphere_rotation()), cp(3)),
+    "(cpn:1 x cpn:2) x (sphere x cpn:1)": lambda times, cp: times(
+        times(cp(1), cp(2)), times(sphere_rotation(), cp(1))
+    ),
+}
+
+
+def built_in_and_checked():
+    """(name, built-in space, the same data through the checked constructors)."""
+    for n in range(1, 9):
+        yield f"cpn:{n}", projective_space(n), checked_projective_space(n)
+    for name, build in NESTED_PRODUCTS.items():
+        checked = build(checked_product, checked_projective_space)
+        yield name, build(product, projective_space), checked
+
+
+@pytest.mark.parametrize(
+    "built, checked",
+    [pytest.param(built, checked, id=name) for name, built, checked in built_in_and_checked()],
+)
+def test_built_in_spaces_equal_the_checked_constructors_build(built, checked):
+    # the module builds its records by _raw, with no check of its own
+    assert built == checked
+    assert repr(built) == repr(checked)
+    validate(built)
