@@ -158,11 +158,20 @@ def circle_reduce(problem, direction):
     signs are unchanged.  The direction must be generic: a zero pairing
     would put 0 into a localization denominator, so it is rejected eagerly
     via NonGenericDirection naming the first annihilated weight.
+
+    The problem's cache keeps the last reduction, one (direction, reduced)
+    entry, until a call with another direction replaces it: a repeated
+    direction returns the same reduced problem, whose own cache keeps its
+    preparation.  A failed reduction is never kept.
     """
     direction = tuple(operator.index(x) for x in direction)
     rank = len(direction)
     if rank != problem.rank:
         raise ValueError(f"direction has length {rank}, problem has rank {problem.rank}")
+    cache = problem._cached()
+    last = cache.get("circle")
+    if last is not None and last[0] == direction:
+        return last[1]
     reduced = []
     images = {}  # pairing -> its rank-1 Weight: one immutable record per distinct pairing
     for point in problem.points:
@@ -178,4 +187,6 @@ def circle_reduce(problem, direction):
                 image = images[value] = Weight._raw((value,))
             exponents.append(image)
         reduced.append(FixedPoint._raw(point.label, tuple(exponents), point.sign))
-    return LocalizationProblem._raw(1, problem.half_dim, tuple(reduced))
+    reduced = LocalizationProblem._raw(1, problem.half_dim, tuple(reduced))
+    cache["circle"] = direction, reduced
+    return reduced

@@ -28,6 +28,8 @@ restricts the expression, compiled once per call, and divides by the scalar
 (skipped at 1, a negation at -1); a copy of the forms goes to
 FactoredRational's trusted path, which cancels without checking them: at
 rank 1 the one form u cancels by a single key shift of the monomial.
+`circle_reduce` keeps its last reduced problem, so circle questions along
+one direction share that problem's preparation.
 
 The rules built on the sum live here once, not in the command line:
 the degree gates (== dim M for `localize_top`, < dim M for

@@ -1,5 +1,7 @@
 """Fixed-point data model: validation, Euler classes, circle reduction."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -190,3 +192,59 @@ def test_circle_reduce_builds_the_records_the_constructors_build():
     )
     assert reduced == expected and hash(reduced) == hash(expected)
     assert all(type(w.components[0]) is int for p in reduced.points for w in p.weights)
+
+
+# ---------------------------------------------------------------------------
+# the last reduction a problem keeps
+
+
+def test_an_equal_direction_returns_the_same_reduced_problem():
+    problem = projective_space(2)
+    reduced = circle_reduce(problem, (1, 3, 7))
+    assert circle_reduce(problem, [1, 3, 7]) is reduced
+    assert circle_reduce(problem, (1, 3, 7)) is reduced
+    other = projective_space(2)
+    assert circle_reduce(other, (True, 3, 7)) is circle_reduce(other, (1, 3, 7))
+    assert circle_reduce(other, (1, 3, 7)) == reduced
+
+
+def test_another_direction_builds_anew_and_replaces_the_kept_reduction():
+    problem = projective_space(2)
+    a, b = (1, 3, 7), (2, 5, 1)
+    built = [circle_reduce(problem, a), circle_reduce(problem, b), circle_reduce(problem, a)]
+    assert len({id(reduced) for reduced in built}) == 3
+    assert built[0] == built[2] != built[1]
+    assert circle_reduce(problem, a) is built[2]
+    assert circle_reduce(problem, b) == built[1] and circle_reduce(problem, b) is not built[1]
+
+
+@pytest.mark.parametrize(
+    "direction, error",
+    [((1, 1, 1), NonGenericDirection), ((1, 2), ValueError), ((1, 2, 3, 4), ValueError)],
+    ids=["non-generic", "short", "long"],
+)
+def test_a_failed_reduction_raises_on_every_call_and_is_never_kept(direction, error):
+    problem = projective_space(2)
+    for _ in range(3):
+        with pytest.raises(error):
+            circle_reduce(problem, direction)
+    assert "circle" not in problem._cached()
+    reduced = circle_reduce(problem, (1, 3, 7))
+    with pytest.raises(error):
+        circle_reduce(problem, direction)
+    assert circle_reduce(problem, (1, 3, 7)) is reduced
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_reduced_problem_copies_with_its_cache_empty(clone):
+    problem = projective_space(3)
+    reduced = circle_reduce(problem, (1, 2, 3, 4))
+    copied = clone(problem)
+    assert copied == problem and not hasattr(copied, "_cache")
+    again = circle_reduce(copied, (1, 2, 3, 4))
+    assert again == reduced and again is not reduced
+    assert circle_reduce(problem, (1, 2, 3, 4)) is reduced

@@ -707,6 +707,40 @@ def test_call_order_on_one_problem_never_changes_what_it_reads(space, data):
             assert observed(localize(problem, text)) == observed(fresh)
 
 
+CIRCLE_SPACES = ("cpn:3", "cpn:4", "product:cpn:1,cpn:2")
+
+
+@st.composite
+def circle_call_orders(draw, space):
+    """Two generic directions, each asked every Chern number and the Euler
+    class, the calls of both interleaved in a drawn order."""
+    problem = parse_space(space)
+    # distinct entries pair to zero with no weight u_j - u_i of a factor
+    entries = st.lists(
+        st.integers(-9, 9), min_size=problem.rank, max_size=problem.rank, unique=True
+    )
+    first = tuple(draw(entries))
+    second = tuple(draw(entries.filter(lambda xi: tuple(xi) != first)))
+    texts = [chern_monomial(p) for p in partitions(problem.half_dim)] + ["e"]
+    return draw(st.permutations([(xi, text) for xi in (first, second) for text in texts]))
+
+
+@pytest.mark.parametrize("space", CIRCLE_SPACES)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_circle_calls_in_any_order_read_what_a_fresh_reduction_gives(space, data):
+    # the problem keeps one reduction: every change of direction replaces it,
+    # and a repeat reads the reduced problem's prepared records
+    problem = parse_space(space)
+    calls = data.draw(circle_call_orders(space))
+    full_rank = {text: integrate_top(parse_space(space), text) for _, text in calls}
+    for xi, text in calls:
+        result = localize(circle_reduce(problem, xi), text)
+        fresh = localize(circle_reduce(parse_space(space), xi), text)
+        assert observed(result) == observed(fresh)
+        assert result.value == Polynomial.constant(1, full_rank[text])
+
+
 @pytest.mark.parametrize(
     "build, text, top",
     [
@@ -802,6 +836,40 @@ def test_threads_sharing_one_problem_read_what_a_fresh_problem_gives():
         for text in random.Random(seed).choices(texts, k=20):
             if observed(localize(problem, text)) != expected[text]:
                 mismatches.append(text)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def test_threads_alternating_two_directions_read_what_a_fresh_reduction_gives():
+    # each thread switches the problem's kept reduction between two
+    # directions while the others read it
+    problem_id = "product:cpn:1,cpn:2"
+    problem = parse_space(problem_id)
+    directions = [(1, 2, 3, 4, 5), (5, 1, 4, 2, 3)]
+    texts = [chern_monomial(p) for p in partitions(3)] + ["e", "c1^4"]
+    expected = {
+        (xi, text): observed(localize(circle_reduce(parse_space(problem_id), xi), text))
+        for xi in directions
+        for text in texts
+    }
+    mismatches, interval = [], sys.getswitchinterval()
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            key = rng.choice(directions), rng.choice(texts)
+            if observed(localize(circle_reduce(problem, key[0]), key[1])) != expected[key]:
+                mismatches.append(key)
 
     sys.setswitchinterval(1e-6)
     try:
