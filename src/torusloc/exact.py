@@ -218,7 +218,7 @@ class _Cached(_Record):
         return self._cache
 
 
-class Polynomial:
+class Polynomial(_Record):
     """Multivariate polynomial over Q in normalized form (no zero terms stored).
 
     Each term is stored under its packed monomial key (see the module
@@ -255,16 +255,11 @@ class Polynomial:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_terms", _canonical(clean, rank))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    def __reduce__(self):
-        return Polynomial._raw, (self.rank, dict(self._terms))
-
     @classmethod
     def _raw(cls, rank, terms):
         # internal fast path: `terms` is a fresh, zero-free dict keyed by packed
-        # keys that the new polynomial takes over; it is canonicalized in place
+        # keys that the new polynomial takes over; it is canonicalized in place.
+        # Hot, so it sets the two fields itself rather than by _Record._raw
         self = object.__new__(cls)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_terms", _canonical(terms, rank))
@@ -287,12 +282,7 @@ class Polynomial:
     def __bool__(self):
         return bool(self._terms)
 
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.rank == other.rank and self._terms == other._terms
-
-    def __hash__(self):
+    def __hash__(self):  # _Record's hash would hash the unhashable term dict
         return hash((self.rank, frozenset(self._terms.items())))
 
     def __add__(self, other):
@@ -407,10 +397,6 @@ def _primitive(vector):
     # (form, scalar) for a nonzero integer vector: `form` is the primitive int
     # tuple (coprime entries, the first nonzero one positive) with
     # scalar * form == vector, so proportional vectors share one form
-    if len(vector) == 1:  # the common rank-1 weight (a,): form (1,), scalar a
-        a = operator.index(vector[0])
-        if a:
-            return (1,), a
     vector = tuple(map(operator.index, vector))
     if not any(vector):
         raise ValueError("cannot normalize the zero vector")
@@ -472,32 +458,15 @@ def _symmetric_numbers(entries, top):
 def _elementary_symmetric(vectors, rank, top):
     # [e_0, ..., e_m], m = min(top, number of vectors), of the linear forms a.u
     # for the integer vectors a, by the recurrence e_j += e_{j-1} * (a.u) on term
-    # dicts in place.  Multiples a*u_k of one coordinate are grouped by k
-    # instead, with the integer elementary symmetric numbers E_i of their
-    # entries a; the terms E_i * u_k^i are the table itself when no other vector
-    # entered it (always so at rank 1), and are folded in by key shifts otherwise
+    # dicts in place.  Each point builds its table once (classexpr._point_record,
+    # which checks the vectors' length and takes the integer _symmetric_numbers
+    # at rank 1 instead)
     table = [{0: 1}]
-    coordinates = {}  # key of u_k -> the entries a of the vectors a*u_k
     for vector in vectors:
-        _check_vector(vector, rank)
-        if vector.count(0) == rank - 1:
-            entry = sum(vector)
-            coordinates.setdefault(1 << _shift(rank, vector.index(entry)), []).append(entry)
-            continue
         if len(table) <= top:
             table.append({})
         for j in range(len(table) - 1, 0, -1):
             _add_times(table[j], table[j - 1], vector)
-    for step, entries in coordinates.items():
-        numbers = _symmetric_numbers(entries, top)
-        if len(table) == 1:  # the table is [1]
-            table = [{i * step: number} if number else {} for i, number in enumerate(numbers)]
-            continue
-        folded = [{} for _ in range(min(len(table) + len(numbers) - 2, top) + 1)]
-        for i, number in enumerate(numbers):
-            for j, terms in enumerate(table[: len(folded) - i] if number else ()):
-                _accumulate(folded[i + j], terms, i * step, number)
-        table = folded
     return [Polynomial._raw(rank, terms) for terms in table]
 
 
@@ -591,7 +560,7 @@ def _cancel(numerator, multiset, forms):
     return numerator
 
 
-class FactoredRational:
+class FactoredRational(_Record):
     """Rational function numerator / product of linear-form powers.
 
     Always stored fully cancelled: no denominator form divides the
@@ -623,15 +592,10 @@ class FactoredRational:
         object.__setattr__(self, "numerator", _cancel(numerator, multiset, list(multiset)))
         object.__setattr__(self, "denominator", multiset)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FactoredRational is immutable")
-
-    def __reduce__(self):
-        return FactoredRational._raw, (self.numerator, self.denominator)
-
     @classmethod
     def _raw(cls, numerator, denominator):
-        # internal fast path: numerator / denominator is already fully cancelled
+        # internal fast path: numerator / denominator is already fully cancelled.
+        # Hot, so it sets the two fields itself rather than by _Record._raw
         self = object.__new__(cls)
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
@@ -678,12 +642,7 @@ class FactoredRational:
             return NotImplemented
         return self + (-other)
 
-    def __eq__(self, other):
-        if not isinstance(other, FactoredRational):
-            return NotImplemented
-        return self.numerator == other.numerator and self.denominator == other.denominator
-
-    __hash__ = None
+    __hash__ = None  # the denominator is a dict
 
     def sorted_denominator(self):
         return sorted(self.denominator.items())

@@ -1,5 +1,7 @@
 """Polynomial and factored-rational arithmetic."""
 
+import copy
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -100,8 +102,9 @@ def test_normalize_extracts_content_and_sign():
 
 
 def test_normalize_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        Weight((0, 0)).primitive()
+    for vector in ((0, 0), (0,)):
+        with pytest.raises(ValueError):
+            Weight(vector).primitive()
 
 
 @pytest.mark.parametrize(
@@ -523,6 +526,25 @@ def test_integral_fraction_stored_as_int():
     assert hash(p) == hash(2 * u1)
 
 
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_values_are_immutable_and_copy_equal(clone):
+    p = 2 * u1 ** 2 - Fraction(1, 3) * u2
+    f = FactoredRational(p, {(1, -1): 2, (0, 1): 1})
+    for value, fields in ((p, ("rank", "_terms")), (f, ("numerator", "denominator"))):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        copied = clone(value)
+        assert copied == value and type(copied) is type(value)
+    assert hash(clone(p)) == hash(p)
+
+
 def test_no_float_or_bool_coefficients():
     p = Polynomial(1, {(0,): True})
     assert type(p.terms[(0,)]) is int
@@ -698,7 +720,7 @@ def test_coordinate_forms_need_no_linear_divide(monkeypatch):
 
 
 def test_normalize_builds_a_valid_form():
-    for vector in ((2, -4), (-3, 0, 6), (0, 0, -7), (5,)):
+    for vector in ((2, -4), (-3, 0, 6), (0, 0, -7), (5,), (-5,)):
         form, scalar = Weight(vector).primitive()
         assert tuple(scalar * c for c in form) == vector
         # a proportional vector gives an equal key with an equal hash
